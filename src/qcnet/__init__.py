@@ -44,7 +44,6 @@ from .schedule import (
     RateDecomposition,
     build_frame_schedule,
     decompose_rate,
-    online_maxweight_step,
 )
 from .sim import ArrivalProcess, SimulationTrace, simulate, stability_verdict
 

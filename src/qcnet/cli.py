@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .conflict import build_conflict_graph
 from .region import RateRegion, rate_region
 from .schedule import MaxWeightPolicy, build_frame_schedule, decompose_rate
 from .sim import ArrivalProcess, simulate, stability_verdict
-from .system import SystemBuildError, SystemDescription, TrafficPattern, parse_system_description
+from .system import StorageSystem, SystemBuildError, SystemDescription, TrafficPattern, parse_system_description
 
 __all__ = ["main", "compare_table", "compute_compare_rows"]
 
@@ -34,18 +35,8 @@ TABLE_ROWS = (
 )
 
 
-def round_half_even(value: Fraction, places: int) -> Fraction:
-    scale = Fraction(10) ** places
-    scaled = value * scale
-    floor = scaled.numerator // scaled.denominator
-    rem = scaled - floor
-    if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and floor % 2 == 1):
-        floor += 1
-    return Fraction(floor, 1) / scale
-
-
 def format_volume(value: Fraction) -> str:
-    rounded = round_half_even(value, 4)
+    rounded = round(value, 4)  # Fraction rounding is half to even
     text = f"{float(rounded):.4f}".rstrip("0").rstrip(".")
     return text if text else "0"
 
@@ -56,23 +47,21 @@ def format_delta(value: float) -> str:
     return f"{float(f'{value:.3g}'):g}"
 
 
-def _system_with_rx(desc: SystemDescription, mpr: bool):
+def _system_for(desc: SystemDescription, mpr: bool, coded: bool) -> StorageSystem:
+    """The description's system, with multipacket reception (rx = T for
+    every user) and then the coded transform applied on request."""
     sys_ = desc.system
-    if not mpr:
-        return sys_
-    from dataclasses import replace
-
-    rx = tuple(max(sys_.num_chunks, 1) for _ in range(sys_.num_users))
-    return replace(sys_, rx=rx)
-
-
-def _region_for(desc: SystemDescription, pattern: TrafficPattern, mpr: bool, coded: bool, io: str) -> RateRegion:
-    base = _system_with_rx(desc, mpr)
+    if mpr:
+        sys_ = replace(sys_, rx=(sys_.num_chunks,) * sys_.num_users)
     if coded:
         if desc.coding is None:
             raise SystemBuildError("--coded requires a [coding] section")
-        base, _links = coded_transform(base, desc.coding)
-    graph = build_conflict_graph(base, pattern, io=io)
+        sys_, _links = coded_transform(sys_, desc.coding)
+    return sys_
+
+
+def _region_for(desc: SystemDescription, pattern: TrafficPattern, mpr: bool, coded: bool, io: str) -> RateRegion:
+    graph = build_conflict_graph(_system_for(desc, mpr, coded), pattern, io=io)
     return rate_region(graph)
 
 
@@ -90,8 +79,8 @@ def compute_compare_rows(
     for name, pattern, mpr in TABLE_ROWS:
         uncoded = _region_for(desc, pattern, mpr, coded=False, io=io).volume()
         coded = _region_for(desc, pattern, mpr, coded=True, io=io).volume()
-        u = round_half_even(uncoded, 4)
-        c = round_half_even(coded, 4)
+        u = round(uncoded, 4)
+        c = round(coded, 4)
         delta = 0.0 if u == 0 else float(100 * (c - u) / u)
         rows.append((name, uncoded, coded, delta))
     average = sum(r[3] for r in rows) / len(rows)
@@ -132,11 +121,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_graph(args) -> None:
     desc = _load(args.config)
-    base = desc.system
-    if args.coded:
-        if desc.coding is None:
-            raise SystemBuildError("--coded requires a [coding] section")
-        base, _ = coded_transform(base, desc.coding)
+    base = _system_for(desc, mpr=False, coded=args.coded)
     graph = build_conflict_graph(base, _resolve_pattern(desc, args), io=args.io)
     text = graph.adjacency_text() + "# edges\n" + graph.edge_list_text()
     _emit(text, args.out)
@@ -144,11 +129,7 @@ def _cmd_graph(args) -> None:
 
 def _cmd_props(args) -> None:
     desc = _load(args.config)
-    base = desc.system
-    if args.coded:
-        if desc.coding is None:
-            raise SystemBuildError("--coded requires a [coding] section")
-        base, _ = coded_transform(base, desc.coding)
+    base = _system_for(desc, mpr=False, coded=args.coded)
     graph = build_conflict_graph(base, _resolve_pattern(desc, args), io=args.io)
     _emit(classify(graph).as_text(graph), args.out)
 
@@ -190,8 +171,6 @@ def _cmd_simulate(args) -> None:
     rates = _parse_rates(args.rates, region.dimension)
     arrivals = ArrivalProcess(rates=rates, seed=args.seed)
     if args.policy == "frame":
-        if not region.contains(rates):
-            raise SystemBuildError("frame policy needs rates inside the region")
         policy = build_frame_schedule(decompose_rate(region, rates))
     else:
         policy = MaxWeightPolicy(region)

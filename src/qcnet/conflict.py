@@ -107,9 +107,6 @@ class ConflictGraph:
     def has_dnt(self) -> bool:
         return any(v.dnt for v in self.vertices)
 
-    def index_of(self, vertex: Vertex) -> int:
-        return self.vertices.index(vertex)
-
     def to_networkx(self, complement: bool = False):
         import networkx as nx
 
@@ -174,6 +171,10 @@ def build_conflict_graph(
     if io not in ("finite", "infinite"):
         raise ValueError(f"unknown io regime {io!r}")
     masks = _pattern_masks(pattern, sys.num_users)
+    reads = sum(d.units * len(d.stores) for d in sys.drives) if io == "finite" else sys.num_chunks
+    count = reads * len(masks) * (2 if include_dnt else 1)
+    if count > vertex_cap:  # before any vertex or virtual drive is built
+        raise SizeGuardError(f"{count} vertices exceed the cap {vertex_cap}")
 
     verts: list[Vertex] = []
     if io == "finite":
@@ -189,8 +190,6 @@ def build_conflict_graph(
     if include_dnt:
         verts.extend([replace(v, dnt=True) for v in list(verts)])
         verts.sort(key=Vertex.sort_key)
-    if len(verts) > vertex_cap:
-        raise SizeGuardError(f"{len(verts)} vertices exceed the cap {vertex_cap}")
 
     knowledge = KnowledgeState.all_innovative()
     n = len(verts)

@@ -99,15 +99,12 @@ def _primitive_normal(vec: list[Fraction]) -> tuple[int, ...]:
 # --- exact simplex (phase-1 feasibility) -------------------------------------
 
 
-def exact_lp_feasible(
-    columns: list[Vec],
-    target: Vec,
-    slack_to_one: bool = True,
-) -> list[Fraction] | None:
-    """Find phi >= 0 with sum_c phi_c * columns[c] == target, exactly.
+def exact_lp_feasible(columns: list[Vec], target: Vec) -> list[Fraction] | None:
+    """Find phi >= 0 with sum_c phi_c * columns[c] == target and
+    sum(phi) <= 1, exactly.
 
-    With ``slack_to_one`` the additional constraint sum(phi) <= 1 is
-    imposed.  Returns the phi vector or None when infeasible.  Solved by a
+    The remainder 1 - sum(phi) is a slack variable: the weight on the
+    origin.  Returns the phi vector or None when infeasible.  Solved by a
     phase-1 tableau simplex over Fractions with Bland's rule.
     """
     m = len(columns)
@@ -119,13 +116,11 @@ def exact_lp_feasible(
         b = Fraction(target[r])
         rows.append(row)
         rhs.append(b)
-    nvars = m
-    if slack_to_one:
-        rows.append([Fraction(1)] * m)
-        rhs.append(Fraction(1))
-        for r, row in enumerate(rows):
-            row.append(Fraction(1) if r == d else Fraction(0))
-        nvars += 1
+    rows.append([Fraction(1)] * m)
+    rhs.append(Fraction(1))
+    for r, row in enumerate(rows):
+        row.append(Fraction(1) if r == d else Fraction(0))
+    nvars = m + 1
     for r in range(len(rows)):
         if rhs[r] < 0:
             rows[r] = [-x for x in rows[r]]

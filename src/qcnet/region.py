@@ -59,8 +59,8 @@ class RateRegion:
         return self.hull.volume
 
     def contains(self, rho) -> bool:
-        """Exact membership: rho <= some convex combination is not needed;
-        equality against combinations including the idle set decides it.
+        """Exact membership: rho is inside when it equals a convex
+        combination of the generator points and the origin (the idle set).
 
         Boundary points count as inside; any negative component is outside.
         """
@@ -70,7 +70,7 @@ class RateRegion:
         if any(x < 0 for x in vec):
             return False
         columns = [p for p in self._distinct_points if any(x != 0 for x in p)]
-        return exact_lp_feasible(columns, vec, slack_to_one=True) is not None
+        return exact_lp_feasible(columns, vec) is not None
 
     def vertices(self) -> tuple[Vec, ...]:
         return self.hull.vertices

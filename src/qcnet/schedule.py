@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 from .conflict import mask_users
 from .region import RateRegion
 from .geometry import exact_lp_feasible, frac_vector
@@ -24,7 +26,6 @@ __all__ = [
     "decompose_rate",
     "build_frame_schedule",
     "MaxWeightPolicy",
-    "online_maxweight_step",
 ]
 
 FRAME_CAP = 10**6
@@ -83,28 +84,27 @@ class FrameSchedule:
 def decompose_rate(region: RateRegion, rho) -> RateDecomposition:
     """Exact convex decomposition of a rate vector over the family.
 
-    Requires rho inside the region (boundary included).  Among feasible
-    decompositions the support is pruned deterministically: later sets are
-    dropped first whenever the remaining family still reaches rho, which
-    biases the support toward the earliest (canonical) sets.
+    Raises ScheduleError when rho lies outside the region: the
+    decomposition LP is then infeasible, so it decides membership itself
+    (boundary included).  Among feasible decompositions the support is
+    pruned deterministically: later sets are dropped first whenever the
+    remaining family still reaches rho, which biases the support toward
+    the earliest (canonical) sets.
     """
     target = frac_vector(rho)
     if len(target) != region.dimension:
         raise ScheduleError(
             f"rate vector has {len(target)} components, region has {region.dimension}"
         )
-    if not region.contains(target):
-        raise ScheduleError(f"rate vector {tuple(map(str, target))} is outside the region")
-
     columns = [frac_vector(g) for g in region.generators]
-    phi = exact_lp_feasible(columns, target, slack_to_one=True)
-    if phi is None:  # contains() guarantees feasibility
-        raise ScheduleError("decomposition LP infeasible despite membership")
+    phi = exact_lp_feasible(columns, target)
+    if phi is None:
+        raise ScheduleError(f"rate vector {tuple(map(str, target))} is outside the region")
 
     allowed = [ell for ell in range(len(columns)) if phi[ell] > 0]
     for ell in sorted(allowed, reverse=True):
         trial_cols = [columns[c] for c in allowed if c != ell]
-        trial = exact_lp_feasible(trial_cols, target, slack_to_one=True)
+        trial = exact_lp_feasible(trial_cols, target)
         if trial is not None:
             allowed.remove(ell)
             phi = [Fraction(0)] * len(columns)
@@ -114,7 +114,8 @@ def decompose_rate(region: RateRegion, rho) -> RateDecomposition:
         sum(phi[c] * columns[c][r] for c in range(len(columns)))
         for r in range(region.dimension)
     )
-    assert achieved == target
+    if achieved != target:
+        raise ScheduleError("decomposition does not reproduce the rate vector")
     return RateDecomposition(region=region, phis=tuple(phi), achieved=achieved)
 
 
@@ -138,12 +139,22 @@ def build_frame_schedule(decomp: RateDecomposition, frame_cap: int = FRAME_CAP) 
     return FrameSchedule(region=decomp.region, frame_size=frame, slots=tuple(slots))
 
 
+def _max_weight_set(gens: np.ndarray, queues: np.ndarray) -> int:
+    """Index (1-based) of the row of ``gens`` with the largest weight
+    ``gens @ queues``, or IDLE when no weight is positive.  Ties go to the
+    earliest set in canonical order."""
+    weights = gens @ queues
+    if weights.size == 0 or weights.max() <= 0:
+        return IDLE
+    return int(weights.argmax()) + 1
+
+
 class MaxWeightPolicy:
     """Immutable online scheduler over an enumerated stable-set family."""
 
     def __init__(self, region: RateRegion):
         self.region = region
-        self._gens = region.generators
+        self._gens = np.array(region.generators, dtype=np.int64)
 
     def step(self, queues) -> int:
         """Index (1-based) of the max-weight stable set, or IDLE when all
@@ -155,15 +166,4 @@ class MaxWeightPolicy:
             raise ValueError("queue vector length mismatch")
         if any(x < 0 for x in q):
             raise ValueError("negative queue length")
-        best_ell = IDLE
-        best_weight = 0
-        for ell, gen in enumerate(self._gens, start=1):
-            weight = sum(g * ql for g, ql in zip(gen, q))
-            if weight > best_weight:
-                best_weight = weight
-                best_ell = ell
-        return best_ell
-
-
-def online_maxweight_step(region: RateRegion, queues) -> int:
-    return MaxWeightPolicy(region).step(queues)
+        return _max_weight_set(self._gens, np.asarray(q))

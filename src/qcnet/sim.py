@@ -16,7 +16,7 @@ import numpy as np
 
 from .coding import CodedLayout, DofTracker
 from .conflict import mask_users
-from .schedule import IDLE, FrameSchedule, MaxWeightPolicy
+from .schedule import IDLE, FrameSchedule, MaxWeightPolicy, _max_weight_set
 from .system import StorageSystem
 
 __all__ = ["ArrivalProcess", "SimulationTrace", "StabilityVerdict", "simulate", "stability_verdict"]
@@ -160,8 +160,7 @@ def simulate(
         if frame_slots is not None:
             ell = frame_slots[t % frame_size]
         else:
-            weights = gens @ queues
-            ell = IDLE if weights.size == 0 or weights.max() <= 0 else int(weights.argmax()) + 1
+            ell = _max_weight_set(gens, queues)
         if ell != IDLE:
             if tracker is None:
                 served = np.minimum(queues, gens[ell - 1])

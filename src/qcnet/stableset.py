@@ -9,8 +9,8 @@ keep the serving drive distinct.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 
 from .conflict import ConflictGraph, mask_users
 from .system import SizeGuardError
@@ -86,11 +86,6 @@ class FlowIncidence:
     per_link: dict[tuple[int, int | None, int], tuple[int, ...]]
     per_flow: dict[tuple[int, int], tuple[int, ...]]
 
-    @cached_property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Row per flow (in ``flows`` order), column per stable set."""
-        return tuple(self.per_flow[f] for f in self.flows)
-
     def generator_point(self, ell: int) -> tuple[int, ...]:
         """Rate point achieved by scheduling set ``ell`` (1-based) always."""
         return tuple(self.per_flow[f][ell - 1] for f in self.flows)
@@ -105,8 +100,9 @@ def flow_incidence(family: StableSetFamily) -> FlowIncidence:
     """
     graph = family.graph
     m = family.size
-    per_link: dict[tuple[int, int | None, int], list[int]] = {}
-    per_flow: dict[tuple[int, int], list[int]] = {}
+    # one length-m vector per key, built when the key is first seen, keeps this linear in m
+    per_link: dict[tuple[int, int | None, int], list[int]] = defaultdict(lambda: [0] * m)
+    per_flow: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * m)
 
     for ell, members in enumerate(family.sets):
         for v_idx in members:
@@ -114,11 +110,8 @@ def flow_incidence(family: StableSetFamily) -> FlowIncidence:
             if v.dnt:
                 continue
             for j in mask_users(v.users):
-                link = (v.chunk, v.drive, j)
-                per_link.setdefault(link, [0] * m)[ell] = 1
-                flow = (v.chunk, j)
-                vec = per_flow.setdefault(flow, [0] * m)
-                vec[ell] += 1
+                per_link[(v.chunk, v.drive, j)][ell] = 1
+                per_flow[(v.chunk, j)][ell] += 1
 
     flows = tuple(sorted(per_flow))
     return FlowIncidence(

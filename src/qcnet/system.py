@@ -13,8 +13,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
 
 __all__ = [
@@ -125,14 +124,6 @@ class StorageSystem:
             if self.stores(i, k)
         )
 
-    def flows(self) -> tuple[tuple[int, int], ...]:
-        """All (chunk, user) pairs, chunk-major."""
-        return tuple(
-            (i, j)
-            for i in range(1, self.num_chunks + 1)
-            for j in range(1, self.num_users + 1)
-        )
-
     def content_hash(self) -> str:
         text = "|".join(
             [
@@ -162,17 +153,6 @@ class KnowledgeState:
     @classmethod
     def all_innovative(cls) -> "KnowledgeState":
         return cls(frozenset())
-
-    @classmethod
-    def from_delivered(cls, sys: StorageSystem, delivered: set[tuple[int, int]]) -> "KnowledgeState":
-        """Uncoded history: chunk i already delivered to user j zeroes S(i,j,k) for all k."""
-        zeros = frozenset(
-            (i, j, k)
-            for (i, j) in delivered
-            for k in range(1, sys.num_virtual_drives + 1)
-            if sys.stores(i, k)
-        )
-        return cls(zeros)
 
     def innovative(self, sys: StorageSystem, i: int, j: int, k: int) -> bool:
         if not sys.stores(i, k):
@@ -391,6 +371,13 @@ def enumerate_valid_modes(
 _PATTERNS_BY_NAME = {p.value: p for p in TrafficPattern}
 
 
+def _parse_int(raw: str, where: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise SystemBuildError(f"{where}: expected an integer, got {raw!r}") from None
+
+
 def _parse_chunk_list(raw: str, where: str) -> list[int]:
     chunks = []
     for tok in raw.split():
@@ -412,9 +399,9 @@ def parse_system_description(text: str) -> SystemDescription:
     from .coding import CodedLayout, Generation  # deferred: coding depends on system
 
     section: str | None = None
-    sys_kv: dict[str, str] = {}
-    drive_kv: dict[int, dict[str, str]] = {}
-    traffic_kv: dict[str, str] = {}
+    sys_kv: dict[str, int] = {}
+    drive_kv: dict[int, dict] = {}
+    traffic_kv: dict = {}
     generations: dict[str, Generation] = {}
     coded_counts: dict[tuple[int, str], int] = {}
     coefficient_cycling = False
@@ -424,6 +411,7 @@ def parse_system_description(text: str) -> SystemDescription:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"line {lineno}"
         if line.startswith("[") and line.endswith("]"):
             header = line[1:-1].strip()
             if header == "system":
@@ -437,44 +425,46 @@ def parse_system_description(text: str) -> SystemDescription:
                 try:
                     n = int(header.split()[1])
                 except (IndexError, ValueError):
-                    raise SystemBuildError(f"line {lineno}: bad drive section {line!r}")
+                    raise SystemBuildError(f"{where}: bad drive section {line!r}")
                 section = f"drive:{n}"
                 drive_kv.setdefault(n, {})
             else:
-                raise SystemBuildError(f"line {lineno}: unknown section {line!r}")
+                raise SystemBuildError(f"{where}: unknown section {line!r}")
             continue
         if section is None:
-            raise SystemBuildError(f"line {lineno}: content before any section")
+            raise SystemBuildError(f"{where}: content before any section")
 
         if section == "coding":
             if line.startswith("generation "):
                 head, _, tail = line.partition("=")
-                gen_id = head.split(None, 1)[1].strip()
+                gen_id = head[len("generation "):].strip()
+                if not gen_id:
+                    raise SystemBuildError(f"{where}: generation line needs an id")
                 chunk_part, _, s_part = tail.partition(";")
-                members = _parse_chunk_list(chunk_part.strip(), f"line {lineno}")
+                members = _parse_chunk_list(chunk_part.strip(), where)
                 s_key, _, s_val = s_part.partition("=")
                 if s_key.strip() != "s":
-                    raise SystemBuildError(f"line {lineno}: generation line needs '; s = <int>'")
+                    raise SystemBuildError(f"{where}: generation line needs '; s = <int>'")
                 generations[gen_id] = Generation(
-                    gen_id=gen_id, members=frozenset(members), s=int(s_val.strip())
+                    gen_id=gen_id, members=frozenset(members), s=_parse_int(s_val.strip(), where)
                 )
             elif line.startswith("drive "):
                 toks = line.split()
                 if len(toks) != 6 or toks[2] != "stores" or toks[4] != "of":
                     raise SystemBuildError(
-                        f"line {lineno}: expected 'drive <n> stores <count> of <gen-id>'"
+                        f"{where}: expected 'drive <n> stores <count> of <gen-id>'"
                     )
-                coded_counts[(int(toks[1]), toks[5])] = int(toks[3])
+                coded_counts[(_parse_int(toks[1], where), toks[5])] = _parse_int(toks[3], where)
             elif line.startswith("coefficient_cycling"):
                 _, _, val = line.partition("=")
                 coefficient_cycling = val.strip().lower() == "true"
             else:
-                raise SystemBuildError(f"line {lineno}: unknown [coding] entry {line!r}")
+                raise SystemBuildError(f"{where}: unknown [coding] entry {line!r}")
             continue
 
         key, eq, val = (part.strip() for part in line.partition("="))
         if eq != "=":
-            raise SystemBuildError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise SystemBuildError(f"{where}: expected 'key = value', got {line!r}")
         target = {
             "system": sys_kv,
             "traffic": traffic_kv,
@@ -487,13 +477,21 @@ def parse_system_description(text: str) -> SystemDescription:
             "traffic": {"pattern", "rx"},
         }.get(section, {"units", "stores"})
         if key not in allowed:
-            raise SystemBuildError(f"line {lineno}: unknown key {key!r} in [{section.split(':')[0]}]")
+            raise SystemBuildError(f"{where}: unknown key {key!r} in [{section.split(':')[0]}]")
+        if key in ("users", "chunks", "units"):
+            val = _parse_int(val, where)
+        elif key == "rx":
+            val = tuple(_parse_int(tok, where) for tok in val.split())
+        elif key == "stores":
+            val = _parse_chunk_list(val, where)
+        elif key == "pattern":
+            if val not in _PATTERNS_BY_NAME:
+                raise SystemBuildError(f"{where}: unknown traffic pattern {val!r}")
+            val = _PATTERNS_BY_NAME[val]
         target[key] = val
 
     if "users" not in sys_kv or "chunks" not in sys_kv:
         raise SystemBuildError("[system] must define users and chunks")
-    num_users = int(sys_kv["users"])
-    num_chunks = int(sys_kv["chunks"])
 
     if not drive_kv:
         raise SystemBuildError("no [drive <n>] sections")
@@ -503,22 +501,11 @@ def parse_system_description(text: str) -> SystemDescription:
     drives: list[tuple[int, set[int]]] = []
     for n in expected:
         kv = drive_kv[n]
-        units = int(kv.get("units", "1"))
         if "stores" not in kv:
             raise SystemBuildError(f"[drive {n}] missing stores")
-        drives.append((units, set(_parse_chunk_list(kv["stores"], f"[drive {n}]"))))
+        drives.append((kv.get("units", 1), set(kv["stores"])))
 
-    pattern = None
-    rx: tuple[int, ...] | None = None
-    if "pattern" in traffic_kv:
-        name = traffic_kv["pattern"]
-        if name not in _PATTERNS_BY_NAME:
-            raise SystemBuildError(f"unknown traffic pattern {name!r}")
-        pattern = _PATTERNS_BY_NAME[name]
-    if "rx" in traffic_kv:
-        rx = tuple(int(tok) for tok in traffic_kv["rx"].split())
-
-    system = build_system(num_chunks, num_users, drives, rx=rx)
+    system = build_system(sys_kv["chunks"], sys_kv["users"], drives, rx=traffic_kv.get("rx"))
 
     coding = None
     if saw_coding:
@@ -529,4 +516,4 @@ def parse_system_description(text: str) -> SystemDescription:
         )
         coding.validate(system)
 
-    return SystemDescription(system=system, pattern=pattern, coding=coding)
+    return SystemDescription(system=system, pattern=traffic_kv.get("pattern"), coding=coding)

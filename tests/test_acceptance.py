@@ -33,7 +33,7 @@ from qcnet import (
     rate_region,
     striped_layout,
 )
-from qcnet.cli import TABLE_ROWS, compare_table, compute_compare_rows, round_half_even
+from qcnet.cli import TABLE_ROWS, compare_table, compute_compare_rows
 from qcnet.schedule import MaxWeightPolicy
 from qcnet.sim import ArrivalProcess, simulate, stability_verdict
 

@@ -110,3 +110,11 @@ def test_compare_byte_identical_across_runs(capsys):
     _, out1, _ = run_cli(capsys, "compare", str(DATA / "ex6.txt"))
     _, out2, _ = run_cli(capsys, "compare", str(DATA / "ex6.txt"))
     assert out1 == out2
+
+
+@pytest.mark.parametrize("example", ["ex6", "ex7"])
+@pytest.mark.parametrize("command", ["graph", "props", "region"])
+def test_coded_output_matches_golden(capsys, command, example):
+    code, out, _ = run_cli(capsys, command, str(DATA / f"{example}.txt"), "--coded")
+    assert code == 0
+    assert out == (DATA / "golden" / f"{command}_{example}_coded.txt").read_text(encoding="utf-8")

@@ -83,6 +83,25 @@ def test_vertex_cap():
         build_conflict_graph(sys_, TrafficPattern.MULTICAST, vertex_cap=5)
 
 
+def test_vertex_cap_trips_before_any_allocation():
+    # 10**6 units x 2 stored chunks x 3 multicast subsets = 6,000,000 vertices
+    sys_ = build_system(2, 2, [(1_000_000, {1, 2})], rx=(1, 1))
+    with pytest.raises(SizeGuardError, match="6000000 vertices"):
+        build_conflict_graph(sys_, TrafficPattern.MULTICAST)
+    assert "stored_pairs" not in sys_.__dict__
+    assert "virtual_drives" not in sys_.__dict__
+
+
+@pytest.mark.parametrize("io", ["finite", "infinite"])
+@pytest.mark.parametrize("include_dnt", [False, True])
+def test_vertex_cap_counts_exactly(io, include_dnt):
+    sys_ = build_system(3, 2, [(2, {1, 2}), (1, {3}), (1, {1, 3})], rx=(1, 1))
+    n = build_conflict_graph(sys_, TrafficPattern.MULTICAST, io=io, include_dnt=include_dnt).num_vertices
+    build_conflict_graph(sys_, TrafficPattern.MULTICAST, io=io, include_dnt=include_dnt, vertex_cap=n)
+    with pytest.raises(SizeGuardError, match=f"{n} vertices"):
+        build_conflict_graph(sys_, TrafficPattern.MULTICAST, io=io, include_dnt=include_dnt, vertex_cap=n - 1)
+
+
 def test_composite_vertex_union(ex6_system):
     g = build_conflict_graph(ex6_system, TrafficPattern.BROADCAST_OR_SINGLE_UNICAST)
     masks = {v.users for v in g.vertices}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from qcnet import (
     build_frame_schedule,
     build_system,
     decompose_rate,
-    online_maxweight_step,
     rate_region,
 )
 from qcnet.schedule import IDLE, MaxWeightPolicy, ScheduleError
@@ -35,6 +35,20 @@ def test_decompose_unicast_split(ex1_unicast_region):
 def test_decompose_rejects_outside(ex1_unicast_region):
     with pytest.raises(ScheduleError, match="outside"):
         decompose_rate(ex1_unicast_region, (1, 1))
+
+
+def test_decompose_rejects_negative_component(ex1_multicast_region):
+    with pytest.raises(ScheduleError, match="outside"):
+        decompose_rate(ex1_multicast_region, (-Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_decompose_checks_its_reconstruction(ex1_multicast_region, monkeypatch):
+    # a solver answer that does not reach rho must fail even under python -O
+    monkeypatch.setattr(
+        "qcnet.schedule.exact_lp_feasible", lambda columns, target: [Fraction(0)] * len(columns)
+    )
+    with pytest.raises(ScheduleError, match="does not reproduce"):
+        decompose_rate(ex1_multicast_region, (1, 1))
 
 
 def test_decompose_interior_leaves_idle_slack(ex1_unicast_region):
@@ -90,25 +104,39 @@ def test_frame_deliveries_export(ex1_multicast_region):
 
 
 def test_maxweight_prefers_joint_service(ex1_multicast_region):
-    assert online_maxweight_step(ex1_multicast_region, (3, 4)) == 3
+    assert MaxWeightPolicy(ex1_multicast_region).step((3, 4)) == 3
 
 
 def test_maxweight_tie_breaks_to_earlier_set(ex1_multicast_region):
-    assert online_maxweight_step(ex1_multicast_region, (5, 0)) == 1
+    assert MaxWeightPolicy(ex1_multicast_region).step((5, 0)) == 1
 
 
 def test_maxweight_idles_on_empty_queues(ex1_multicast_region):
-    assert online_maxweight_step(ex1_multicast_region, (0, 0)) == IDLE
+    assert MaxWeightPolicy(ex1_multicast_region).step((0, 0)) == IDLE
 
 
 def test_maxweight_dominates_singletons(ex6_system):
     region = rate_region(build_conflict_graph(ex6_system, TrafficPattern.MULTICAST))
     queues = (4, 1, 2, 7)
-    best = online_maxweight_step(region, queues)
+    best = MaxWeightPolicy(region).step(queues)
     best_weight = sum(g * q for g, q in zip(region.generators[best - 1], queues))
     for gen in region.generators:
         if sum(gen) == 1:
             assert best_weight >= sum(g * q for g, q in zip(gen, queues))
+
+
+def test_maxweight_matches_loop_reference(ex6_system):
+    region = rate_region(build_conflict_graph(ex6_system, TrafficPattern.MULTICAST))
+    policy = MaxWeightPolicy(region)
+    rng = random.Random(5)
+    for _ in range(200):
+        queues = [rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(region.dimension)]
+        best, best_weight = IDLE, 0
+        for ell, gen in enumerate(region.generators, start=1):
+            weight = sum(g * q for g, q in zip(gen, queues))
+            if weight > best_weight:
+                best, best_weight = ell, weight
+        assert policy.step(queues) == best
 
 
 def test_maxweight_deterministic(ex1_multicast_region):
@@ -118,4 +146,4 @@ def test_maxweight_deterministic(ex1_multicast_region):
 
 def test_maxweight_rejects_negative(ex1_multicast_region):
     with pytest.raises(ValueError):
-        online_maxweight_step(ex1_multicast_region, (-1, 0))
+        MaxWeightPolicy(ex1_multicast_region).step((-1, 0))

@@ -80,7 +80,7 @@ def test_reception_budget_enforced():
 
 
 def test_innovation_constraint(ex1_system):
-    stale = KnowledgeState.from_delivered(ex1_system, {(1, 1)})
+    stale = KnowledgeState(frozenset({(1, 1, 1)}))
     mode = Mode(frozenset({(1, 1, 1)}))
     assert not validate_mode(ex1_system, stale, mode, TrafficPattern.MULTICAST).valid
     fresh = Mode(frozenset({(1, 2, 1)}))
@@ -173,3 +173,41 @@ def test_parse_rejects_unknown_pattern():
     bad = "[system]\nusers = 1\nchunks = 1\n[drive 1]\nstores = f1\n[traffic]\npattern = anycast\n"
     with pytest.raises(SystemBuildError, match="unknown traffic pattern"):
         parse_system_description(bad)
+
+
+GOOD_DESCRIPTION = """[system]
+users = 2
+chunks = 2
+
+[drive 1]
+units = 1
+stores = f1 f2
+
+[traffic]
+pattern = multicast
+rx = 1 1
+
+[coding]
+generation g = f1 f2 ; s = 2
+drive 1 stores 2 of g
+"""
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        ("users = 2", "users = x"),
+        ("chunks = 2", "chunks = x"),
+        ("units = 1", "units = two"),
+        ("rx = 1 1", "rx = 1 a"),
+        ("generation g = f1 f2 ; s = 2", "generation g = f1 f2 ; s = two"),
+        ("drive 1 stores 2 of g", "drive x stores 2 of g"),
+        ("drive 1 stores 2 of g", "drive 1 stores y of g"),
+        ("generation g = f1 f2 ; s = 2", "generation = f1 f2 ; s = 2"),
+    ],
+)
+def test_parse_failure_names_the_line(good, bad):
+    parse_system_description(GOOD_DESCRIPTION)
+    lineno = GOOD_DESCRIPTION.splitlines().index(good) + 1
+    with pytest.raises(SystemBuildError, match=f"^line {lineno}: "):
+        parse_system_description(GOOD_DESCRIPTION.replace(good, bad))
