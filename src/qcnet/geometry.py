@@ -1,11 +1,14 @@
 """Exact rational polytope machinery.
 
-Everything here is computed over ``fractions.Fraction``.  Convex-hull
-combinatorics come from Qhull (scipy) applied to integer-scaled points;
-facet hyperplanes, the vertex set, and volumes are then rebuilt in exact
-arithmetic and every input point is verified against every facet, so a
-numerically wrong hull raises instead of propagating.  Linear-program
-feasibility (membership, rate decomposition) never touches floats.
+Points, facets and LP solutions are exact rationals (``fractions.Fraction``),
+but both kernels compute on Python ints: each input is scaled once by the
+lcm of its denominators and then eliminated fraction-free (Edmonds 1967,
+Bareiss 1968), every division exact.  Convex-hull combinatorics come from
+Qhull (scipy) applied to the integer-scaled points; facet hyperplanes, the
+vertex set, and volumes are then rebuilt in integer arithmetic and every
+input point is verified against every facet, so a numerically wrong hull
+raises instead of propagating.  Linear-program feasibility (membership,
+rate decomposition) never touches floats.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -36,30 +40,48 @@ def frac_vector(values) -> Vec:
     return tuple(Fraction(x) for x in values)
 
 
-# --- exact linear algebra ---------------------------------------------------
+# --- exact integer linear algebra --------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
+def _scaled(rows) -> tuple[list[list[int]], int]:
+    """Integer rows and the lcm of every denominator: rows == ints / scale."""
+    scale = lcm(*{x.denominator for row in rows for x in row})
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
+
+
+def _int_gauss_jordan(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination; returns (matrix, pivot columns).
+
+    Pivots are chosen as in the rational reduced row echelon form, and the
+    result is D times that form, where D is the last pivot
+    (``matrix[t][pivots[t]] == D`` for every t).  Each division by the
+    previous pivot is exact (Edmonds' rule).
+    """
     mat = [row[:] for row in rows]
     pivots: list[int] = []
+    prev = 1
     r = 0
     ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if r == len(mat):
+            break
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
+        prow = mat[r]
+        p = prow[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [(a * p - f * b) // prev for a, b in zip(mat[i], prow)]
+        prev = p
         pivots.append(c)
         r += 1
-        if r == len(mat):
-            break
     return mat, pivots
 
 
@@ -85,15 +107,18 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _primitive_normal(vec: list[Fraction]) -> tuple[int, ...]:
-    denom = lcm(*(f.denominator for f in vec)) if vec else 1
-    ints = [int(f * denom) for f in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def _kernel_vector(mat: list[list[int]], pivots: list[int], free: int, n: int) -> tuple[int, ...]:
+    """Primitive integer x in Z^n with mat @ x == 0, x[free] > 0, and zero
+    on the other non-pivot columns, for ``(mat, pivots)`` from
+    _int_gauss_jordan."""
+    det = mat[0][pivots[0]] if pivots else 1
+    sign = 1 if det > 0 else -1
+    x = [0] * n
+    x[free] = abs(det)
+    for t, pc in enumerate(pivots):
+        x[pc] = -sign * mat[t][free]
+    g = gcd(*x)
+    return tuple(v // g for v in x) if g > 1 else tuple(x)
 
 
 # --- exact simplex (phase-1 feasibility) -------------------------------------
@@ -104,76 +129,69 @@ def exact_lp_feasible(columns: list[Vec], target: Vec) -> list[Fraction] | None:
     sum(phi) <= 1, exactly.
 
     The remainder 1 - sum(phi) is a slack variable: the weight on the
-    origin.  Returns the phi vector or None when infeasible.  Solved by a
-    phase-1 tableau simplex over Fractions with Bland's rule.
+    origin.  Returns the phi vector or None when infeasible.
+
+    Solved by a phase-1 simplex with Bland's rule on an integer tableau.
+    The rows [columns | slack | target] and the convexity row [1 .. 1 | 1 | 1]
+    are all scaled once by the lcm of every denominator, so the tableau is
+    T / D with one common denominator D, initially 1; the identity basis of
+    artificial variables is never stored.  A pivot on p = T[r][e] > 0
+    replaces every other row, the objective included, by
+    (T * p - T[.][e] * T[r]) // D, an exact division (Edmonds' rule), and
+    then sets D = p.  One positive scale changes no sign, ratio order or
+    basis, so the pivots and phi are those of the rational tableau.
     """
     m = len(columns)
     d = len(target)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for r in range(d):
-        row = [Fraction(columns[c][r]) for c in range(m)]
-        b = Fraction(target[r])
-        rows.append(row)
-        rhs.append(b)
-    rows.append([Fraction(1)] * m)
-    rhs.append(Fraction(1))
-    for r, row in enumerate(rows):
-        row.append(Fraction(1) if r == d else Fraction(0))
-    nvars = m + 1
-    for r in range(len(rows)):
-        if rhs[r] < 0:
-            rows[r] = [-x for x in rows[r]]
-            rhs[r] = -rhs[r]
-
-    nrows = len(rows)
-    # artificial variable per row; objective: minimize their sum
-    tableau = [rows[r] + [Fraction(0)] * nrows + [rhs[r]] for r in range(nrows)]
-    for r in range(nrows):
-        tableau[r][nvars + r] = Fraction(1)
+    (*cols, rhs), scale = _scaled([*columns, target])
+    tableau = [[col[r] for col in cols] + [0, rhs[r]] for r in range(d)]
+    tableau.append([scale] * (m + 2))
+    tableau = [[-x for x in row] if row[-1] < 0 else row for row in tableau]
+    nvars = m + 1  # the columns and the slack; artificial columns are not stored
+    nrows = d + 1
     basis = [nvars + r for r in range(nrows)]
-    ncols = nvars + nrows
-    obj = [Fraction(0)] * (ncols + 1)
-    for r in range(nrows):  # price out the artificial basis
-        for c in range(ncols + 1):
-            obj[c] -= tableau[r][c]
+    # phase-1 objective, priced out over the artificial basis
+    obj = [-sum(col) for col in zip(*tableau)]
+    den = 1
 
     while True:
         entering = next((c for c in range(nvars) if obj[c] < 0), None)
         if entering is None:
             break
-        best: tuple[Fraction, int, int] | None = None
+        leave = None
+        for r, row in enumerate(tableau):
+            coeff = row[entering]
+            if coeff <= 0:
+                continue
+            if leave is not None:
+                # smallest ratio row[-1] / coeff, ties to the smallest basic variable
+                here, best = row[-1] * best_coeff, best_rhs * coeff
+                if here > best or (here == best and basis[r] > basis[leave]):
+                    continue
+            leave, best_rhs, best_coeff = r, row[-1], coeff
+        if leave is None:
+            raise GeometryError("phase-1 simplex found an unbounded ray")
+        prow = tableau[leave]
+        p = prow[entering]
         for r in range(nrows):
-            coeff = tableau[r][entering]
-            if coeff > 0:
-                ratio = tableau[r][ncols] / coeff
-                key = (ratio, basis[r], r)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            return None  # unbounded cannot occur in phase 1; defensive
-        _, _, leave = best
-        pivot = tableau[leave][entering]
-        tableau[leave] = [x / pivot for x in tableau[leave]]
-        for r in range(nrows):
-            if r != leave and tableau[r][entering] != 0:
+            if r != leave:
                 f = tableau[r][entering]
-                tableau[r] = [a - f * b for a, b in zip(tableau[r], tableau[leave])]
-        if obj[entering] != 0:
-            f = obj[entering]
-            obj = [a - f * b for a, b in zip(obj, tableau[leave])]
+                tableau[r] = [(a * p - f * b) // den for a, b in zip(tableau[r], prow)]
+        f = obj[entering]
+        obj = [(a * p - f * b) // den for a, b in zip(obj, prow)]
+        den = p
         basis[leave] = entering
 
-    if -obj[ncols] != 0:  # residual artificial mass
+    if obj[-1] != 0:  # residual artificial mass
         return None
     phi = [Fraction(0)] * m
     for r, bvar in enumerate(basis):
         if bvar < m:
-            phi[bvar] = tableau[r][ncols]
+            phi[bvar] = Fraction(tableau[r][-1], den)
         elif bvar < nvars:
             continue  # slack
-        elif tableau[r][ncols] != 0:
-            return None  # artificial stuck in basis at nonzero level
+        elif tableau[r][-1] != 0:
+            raise GeometryError("artificial variable left in the basis at a nonzero level")
     return phi
 
 
@@ -198,35 +216,6 @@ class HullResult:
     volume: Fraction
 
 
-def _affine_basis(points: list[Vec]) -> tuple[Vec, list[int], list[list[Fraction]]]:
-    """Origin point, pivot columns spanning the difference space, and the
-    RREF rows of that space."""
-    p0 = points[0]
-    diffs = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    if not diffs:
-        return p0, [], []
-    rref, pivots = _rref(diffs)
-    return p0, pivots, rref[: len(pivots)]
-
-
-def _hyperplane_through(simplex: list[Vec]) -> tuple[tuple[int, ...], Fraction] | None:
-    """Primitive integer (a, b) with a.x == b through d affinely independent
-    points in R^d, or None when the points are degenerate."""
-    d = len(simplex[0])
-    diffs = [[x - y for x, y in zip(p, simplex[0])] for p in simplex[1:]]
-    rref, pivots = _rref(diffs)
-    if len(pivots) != d - 1:
-        return None
-    free = next(c for c in range(d) if c not in pivots)
-    a = [Fraction(0)] * d
-    a[free] = Fraction(1)
-    for row_idx, pc in enumerate(pivots):
-        a[pc] = -rref[row_idx][free]
-    normal = _primitive_normal(a)
-    b = sum(Fraction(n) * x for n, x in zip(normal, simplex[0]))
-    return normal, b
-
-
 def _full_dim_hull(points: list[Vec], dim: int) -> tuple[list[int], list[tuple[tuple[int, ...], Fraction]], Fraction]:
     """Vertex indices, facets, and exact volume for a full-dimensional set."""
     from scipy.spatial import ConvexHull  # deferred: keeps import cost off the LP path
@@ -238,55 +227,53 @@ def _full_dim_hull(points: list[Vec], dim: int) -> tuple[list[int], list[tuple[t
         verts = [vals.index(lo), vals.index(hi)]
         return verts, facets, hi - lo
 
-    scale = lcm(*(x.denominator for p in points for x in p))
-    ints = [[int(x * scale) for x in p] for p in points]
-    arr = np.array(ints, dtype=float)
-    hull = ConvexHull(arr, qhull_options="Qt")
+    ints, scale = _scaled(points)
+    hull = ConvexHull(np.array(ints, dtype=float), qhull_options="Qt")
 
-    npts = len(points)
-    centroid = [Fraction(sum(p[c] for p in ints), npts) for c in range(dim)]
-    cden = npts
+    npts = len(ints)
+    csum = [sum(col) for col in zip(*ints)]  # npts * centroid
 
-    facet_map: dict[tuple[tuple[int, ...], Fraction], None] = {}
-    vol_num = Fraction(0)
-    for simplex in hull.simplices:
-        pts = [frac_vector(ints[i]) for i in simplex]
-        plane = _hyperplane_through(pts)
-        if plane is None:
-            continue  # zero-measure sliver from facet triangulation
-        a, b = plane
-        side = sum(Fraction(x) * y for x, y in zip(a, centroid)) - b
-        if side > 0:
-            a = tuple(-x for x in a)
-            b = -b
-        elif side == 0:
-            raise GeometryError("claimed facet plane passes through the centroid")
-        facet_map.setdefault((a, b), None)
+    facets: list[tuple[tuple[int, ...], int]] = []  # in order of first simplex
+    on_facets: list[set[int]] = [set() for _ in ints]  # facet indices tight at each point
+    cone_dets = 0  # sum of |det| over the centroid cones, each scaled by npts**dim
+    for simplex in hull.simplices.tolist():
+        if not set.intersection(*(on_facets[i] for i in simplex)):
+            # a new plane; a simplex on a known facet lies in its plane
+            pts = [ints[i] for i in simplex]
+            mat, pivots = _int_gauss_jordan([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])
+            if len(pivots) != dim - 1:
+                continue  # zero-measure sliver from facet triangulation
+            free = next(c for c in range(dim) if c not in pivots)
+            a = _kernel_vector(mat, pivots, free, dim)
+            b = _dot(a, pts[0])
+            side = _dot(a, csum) - b * npts
+            if side > 0:
+                a = tuple(-x for x in a)
+                b = -b
+            elif side == 0:
+                raise GeometryError("claimed facet plane passes through the centroid")
+            k = len(facets)
+            facets.append((a, b))
+            for i, p in enumerate(ints):
+                v = _dot(a, p)
+                if v > b:
+                    raise GeometryError("hull facet violated by an input point")
+                if v == b:
+                    on_facets[i].add(k)
         # cone from the centroid over this facet simplex
-        mat = [[int((Fraction(ints[i][c]) - centroid[c]) * cden) for c in range(dim)] for i in simplex]
-        vol_num += Fraction(abs(_int_det(mat)), cden**dim)
+        cone = [[ints[i][c] * npts - csum[c] for c in range(dim)] for i in simplex]
+        cone_dets += abs(_int_det(cone))
 
-    facets_scaled = list(facet_map)
-    for a, b in facets_scaled:
-        for p in ints:
-            if sum(x * y for x, y in zip(a, p)) > b:
-                raise GeometryError("hull facet violated by an input point")
-
-    volume = vol_num / math.factorial(dim) / Fraction(scale) ** dim
+    volume = Fraction(cone_dets, npts**dim * math.factorial(dim) * scale**dim)
 
     vertices: list[int] = []
-    for idx, p in enumerate(ints):
-        tight = [a for a, b in facets_scaled if sum(x * y for x, y in zip(a, p)) == b]
+    for idx, tight in enumerate(on_facets):
         if len(tight) >= dim:
-            _, pivots = _rref([[Fraction(x) for x in a] for a in tight])
+            _, pivots = _int_gauss_jordan([facets[k][0] for k in tight])
             if len(pivots) == dim:
                 vertices.append(idx)
 
-    facets = [
-        (a, Fraction(b, scale))
-        for a, b in facets_scaled
-    ]
-    return vertices, facets, volume
+    return vertices, [(a, Fraction(b, scale)) for a, b in facets], volume
 
 
 def exact_hull(raw_points: list) -> HullResult:
@@ -303,22 +290,16 @@ def exact_hull(raw_points: list) -> HullResult:
     if any(len(p) != ambient for p in points):
         raise GeometryError("mixed point dimensions")
 
-    p0, pivots, rref_rows = _affine_basis(points)
+    ints, scale = _scaled(points)
+    p0 = ints[0]
+    mat, pivots = _int_gauss_jordan([[x - y for x, y in zip(p, p0)] for p in ints[1:]])
     dim = len(pivots)
 
     equalities: list[tuple[tuple[int, ...], Fraction]] = []
-    if dim < ambient:
-        # affine-hull equations: x_free - p0_free == sum_t R[t][free] (x_piv - p0_piv)
-        for free in range(ambient):
-            if free in pivots:
-                continue
-            a = [Fraction(0)] * ambient
-            a[free] = Fraction(1)
-            for t, pc in enumerate(pivots):
-                a[pc] = -rref_rows[t][free] if rref_rows else Fraction(0)
-            normal = _primitive_normal(a)
-            b = sum(Fraction(n) * x for n, x in zip(normal, p0))
-            equalities.append((normal, b))
+    for free in range(ambient):
+        if free not in pivots:
+            normal = _kernel_vector(mat, pivots, free, ambient)
+            equalities.append((normal, Fraction(_dot(normal, p0), scale)))
 
     if dim == 0:
         return HullResult(

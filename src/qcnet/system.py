@@ -381,9 +381,9 @@ def _parse_int(raw: str, where: str) -> int:
 def _parse_chunk_list(raw: str, where: str) -> list[int]:
     chunks = []
     for tok in raw.split():
-        if not tok.startswith("f") or not tok[1:].isdigit():
+        if not tok.startswith("f") or not tok[1:].isdecimal():
             raise SystemBuildError(f"{where}: expected chunk tokens like f1, got {tok!r}")
-        chunks.append(int(tok[1:]))
+        chunks.append(_parse_int(tok[1:], where))
     if not chunks:
         raise SystemBuildError(f"{where}: empty chunk list")
     return chunks
@@ -404,8 +404,8 @@ def parse_system_description(text: str) -> SystemDescription:
     traffic_kv: dict = {}
     generations: dict[str, Generation] = {}
     coded_counts: dict[tuple[int, str], int] = {}
-    coefficient_cycling = False
-    saw_coding = False
+    coefficient_cycling: bool | None = None
+    seen_sections: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -414,22 +414,20 @@ def parse_system_description(text: str) -> SystemDescription:
         where = f"line {lineno}"
         if line.startswith("[") and line.endswith("]"):
             header = line[1:-1].strip()
-            if header == "system":
-                section = "system"
-            elif header == "traffic":
-                section = "traffic"
-            elif header == "coding":
-                section = "coding"
-                saw_coding = True
+            if header in ("system", "traffic", "coding"):
+                section = header
             elif header.startswith("drive "):
-                try:
-                    n = int(header.split()[1])
-                except (IndexError, ValueError):
+                parts = header.split()
+                if len(parts) != 2:
                     raise SystemBuildError(f"{where}: bad drive section {line!r}")
+                n = _parse_int(parts[1], where)
                 section = f"drive:{n}"
-                drive_kv.setdefault(n, {})
+                drive_kv[n] = {}
             else:
                 raise SystemBuildError(f"{where}: unknown section {line!r}")
+            if section in seen_sections:
+                raise SystemBuildError(f"{where}: repeated section {line!r}")
+            seen_sections.add(section)
             continue
         if section is None:
             raise SystemBuildError(f"{where}: content before any section")
@@ -445,6 +443,8 @@ def parse_system_description(text: str) -> SystemDescription:
                 s_key, _, s_val = s_part.partition("=")
                 if s_key.strip() != "s":
                     raise SystemBuildError(f"{where}: generation line needs '; s = <int>'")
+                if gen_id in generations:
+                    raise SystemBuildError(f"{where}: repeated generation {gen_id!r}")
                 generations[gen_id] = Generation(
                     gen_id=gen_id, members=frozenset(members), s=_parse_int(s_val.strip(), where)
                 )
@@ -454,10 +454,17 @@ def parse_system_description(text: str) -> SystemDescription:
                     raise SystemBuildError(
                         f"{where}: expected 'drive <n> stores <count> of <gen-id>'"
                     )
-                coded_counts[(_parse_int(toks[1], where), toks[5])] = _parse_int(toks[3], where)
-            elif line.startswith("coefficient_cycling"):
-                _, _, val = line.partition("=")
-                coefficient_cycling = val.strip().lower() == "true"
+                entry = (_parse_int(toks[1], where), toks[5])
+                if entry in coded_counts:
+                    raise SystemBuildError(f"{where}: repeated entry for drive {toks[1]} and {toks[5]!r}")
+                coded_counts[entry] = _parse_int(toks[3], where)
+            elif line.partition("=")[0].strip() == "coefficient_cycling":
+                val = line.partition("=")[2].strip().lower()
+                if val not in ("true", "false"):
+                    raise SystemBuildError(f"{where}: coefficient_cycling must be true or false")
+                if coefficient_cycling is not None:
+                    raise SystemBuildError(f"{where}: repeated key 'coefficient_cycling' in [coding]")
+                coefficient_cycling = val == "true"
             else:
                 raise SystemBuildError(f"{where}: unknown [coding] entry {line!r}")
             continue
@@ -478,6 +485,8 @@ def parse_system_description(text: str) -> SystemDescription:
         }.get(section, {"units", "stores"})
         if key not in allowed:
             raise SystemBuildError(f"{where}: unknown key {key!r} in [{section.split(':')[0]}]")
+        if key in target:
+            raise SystemBuildError(f"{where}: repeated key {key!r} in [{section.split(':')[0]}]")
         if key in ("users", "chunks", "units"):
             val = _parse_int(val, where)
         elif key == "rx":
@@ -508,11 +517,11 @@ def parse_system_description(text: str) -> SystemDescription:
     system = build_system(sys_kv["chunks"], sys_kv["users"], drives, rx=traffic_kv.get("rx"))
 
     coding = None
-    if saw_coding:
+    if "coding" in seen_sections:
         coding = CodedLayout(
             generations=dict(sorted(generations.items())),
             counts=dict(sorted(coded_counts.items())),
-            coefficient_cycling=coefficient_cycling,
+            coefficient_cycling=bool(coefficient_cycling),
         )
         coding.validate(system)
 

@@ -3,8 +3,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcnet.geometry import GeometryError, exact_hull, exact_lp_feasible
+from reference_geometry import reference_hull, reference_lp_feasible
 
 
 def F(*args) -> Fraction:
@@ -102,3 +105,80 @@ def test_lp_exactness_near_boundary():
     cols = [(F(1), F(0)), (F(0), F(1))]
     assert exact_lp_feasible(cols, (F(1, 3), F(2, 3))) is not None
     assert exact_lp_feasible(cols, (F(1, 3), F(2, 3) + F(1, 10**12))) is None
+
+
+# --- the integer kernels against their Fraction reference oracles -------------
+
+_coord = st.one_of(
+    st.sampled_from([F(0), F(1), F(2), F(-1)]),  # repeats: ties and degenerate pivots
+    st.builds(F, st.integers(-4, 4), st.integers(1, 4)),
+)
+
+
+@st.composite
+def lp_instances(draw):
+    d = draw(st.integers(1, 4))
+    columns = draw(st.lists(st.tuples(*[_coord] * d), max_size=7))
+    if columns and draw(st.booleans()):
+        columns.append(draw(st.sampled_from(columns)))  # a repeated column
+    if columns and draw(st.booleans()):
+        # a convex combination of some columns: feasible, often on the boundary
+        weights = draw(st.lists(st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2)]),
+                                min_size=len(columns), max_size=len(columns)))
+        if sum(weights) > 1:
+            weights = [w / sum(weights) for w in weights]
+        target = tuple(sum(w * col[r] for w, col in zip(weights, columns)) for r in range(d))
+    else:
+        target = draw(st.tuples(*[_coord] * d))  # negative components included
+    return columns, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_instances())
+# a degenerate start: breaking the ratio tie by row instead of by basic
+# variable leaves the rational simplex at another vertex
+@example(([(F(2), F(1)), (F(2), F(2)), (F(-1), F(0)), (F(1), F(2)), (F(0), F(-1))], (F(0), F(0))))
+def test_lp_matches_fraction_oracle(instance):
+    columns, target = instance
+    phi = exact_lp_feasible(columns, target)
+    assert phi == reference_lp_feasible(columns, target)
+    if phi is not None:
+        assert all(isinstance(x, Fraction) and x >= 0 for x in phi) and sum(phi) <= 1
+        assert tuple(sum(w * col[r] for w, col in zip(phi, columns)) for r in range(len(target))) == target
+
+
+@st.composite
+def point_sets(draw):
+    """Rational points in dimensions 1-6: affine images of small lattice
+    sets, so lower-dimensional sets and repeated points are common."""
+    ambient = draw(st.integers(1, 6))
+    k = draw(st.integers(0, ambient))
+    base = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * k), min_size=1, max_size=ambient + 6))
+    if k == ambient and draw(st.booleans()):
+        embed = [[int(r == c) for c in range(k)] for r in range(ambient)]
+    else:
+        embed = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                              min_size=ambient, max_size=ambient))
+    offset = draw(st.tuples(*[_coord] * ambient))
+    den = draw(st.integers(1, 3))
+    points = [
+        tuple(offset[r] + F(sum(e * x for e, x in zip(embed[r], p)), den) for r in range(ambient))
+        for p in base
+    ]
+    return points + draw(st.lists(st.sampled_from(points), max_size=2))
+
+
+def _outcome(fn, points):
+    try:
+        return fn(points)
+    except Exception as exc:  # both sides must fail alike
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets())
+def test_hull_matches_fraction_oracle(points):
+    hull = _outcome(exact_hull, points)
+    expected = _outcome(reference_hull, points)
+    assert hull == expected
+    assert repr(hull) == repr(expected)  # same field types, facet order included

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcnet import (
     KnowledgeState,
@@ -204,6 +207,12 @@ drive 1 stores 2 of g
         ("drive 1 stores 2 of g", "drive x stores 2 of g"),
         ("drive 1 stores 2 of g", "drive 1 stores y of g"),
         ("generation g = f1 f2 ; s = 2", "generation = f1 f2 ; s = 2"),
+        ("stores = f1 f2", "stores = f1 f²"),
+        pytest.param(
+            "generation g = f1 f2 ; s = 2",
+            "generation g = f1 f" + "1" * 5000 + " ; s = 2",
+            id="chunk-id-past-the-int-digit-limit",
+        ),
     ],
 )
 def test_parse_failure_names_the_line(good, bad):
@@ -211,3 +220,87 @@ def test_parse_failure_names_the_line(good, bad):
     lineno = GOOD_DESCRIPTION.splitlines().index(good) + 1
     with pytest.raises(SystemBuildError, match=f"^line {lineno}: "):
         parse_system_description(GOOD_DESCRIPTION.replace(good, bad))
+
+
+@pytest.mark.parametrize(
+    "old, new, bad_line",
+    [
+        ("drive 1 stores 2 of g", "drive 1 stores 2 of g\ncoefficient_cycling = yes", "coefficient_cycling = yes"),
+        (
+            "drive 1 stores 2 of g",
+            "drive 1 stores 2 of g\ncoefficient_cycling = true\ncoefficient_cycling = true",
+            "coefficient_cycling = true",
+        ),
+        ("[traffic]", "[drive 1]\nunits = 3\n\n[traffic]", "[drive 1]"),
+        ("[traffic]", "[system]\n[traffic]", "[system]"),
+        ("drive 1 stores 2 of g", "generation g = f1 ; s = 1\ndrive 1 stores 2 of g", "generation g = f1 ; s = 1"),
+        ("stores = f1 f2", "stores = f1 f2\nunits = 2", "units = 2"),
+        ("chunks = 2", "chunks = 2\nusers = 3", "users = 3"),
+        ("drive 1 stores 2 of g", "drive 1 stores 2 of g\ndrive 1 stores 1 of g", "drive 1 stores 1 of g"),
+    ],
+)
+def test_parse_rejects_repeats_and_bad_flags(old, new, bad_line):
+    bad = GOOD_DESCRIPTION.replace(old, new, 1)
+    lines = bad.splitlines()
+    lineno = len(lines) - lines[::-1].index(bad_line)  # its last occurrence
+    with pytest.raises(SystemBuildError, match=f"^line {lineno}: "):
+        parse_system_description(bad)
+
+
+def test_example_files_still_parse():
+    for name in ("ex1.txt", "ex6.txt", "ex7.txt"):
+        desc = parse_system_description((DATA / name).read_text())
+        assert (desc.coding is not None) == (name != "ex1.txt")
+    assert parse_system_description((DATA / "ex6.txt").read_text()).coding.coefficient_cycling is False
+
+
+_FUZZ_WORDS = [
+    "[system]", "[drive 1]", "[drive 2]", "[drive 1 2]", "[traffic]", "[coding]", "[", "]",
+    "users", "chunks", "units", "stores", "rx", "pattern", "generation", "drive", "of", "s",
+    "coefficient_cycling", "=", ";", "#", "g", "h", "multicast", "broadcast", "anycast",
+]
+_FUZZ_NUMBERS = ["0", "1", "2", "-1", "+1", "1_0", "²", "٣", "x", "", "1" * 5000]
+_FUZZ_VALUES = _FUZZ_NUMBERS + ["f" + n for n in _FUZZ_NUMBERS] + ["true", "yes"]
+
+
+@st.composite
+def fuzzed_descriptions(draw):
+    """A valid description with one to three lines or tokens replaced,
+    inserted, copied or dropped, chosen by a seeded generator."""
+    rng = random.Random(draw(st.integers(0, 2**64)))
+
+    def token():
+        return rng.choice(rng.choice([_FUZZ_WORDS, _FUZZ_VALUES]))
+
+    lines = rng.choice([GOOD_DESCRIPTION, (DATA / "ex6.txt").read_text()]).splitlines()
+    lines = [line for line in lines if line and not line.startswith("#")]
+    for _ in range(rng.choice([1, 1, 2, 3])):
+        at = rng.randrange(len(lines) + 1)
+        op = rng.choice(["token", "token", "token", "insert", "drop", "copy"]) if lines else "insert"
+        if op == "insert":
+            lines.insert(at, " ".join(token() for _ in range(rng.randint(0, 6))))
+        elif op == "drop":
+            del lines[at % len(lines)]
+        elif op == "copy":
+            lines.insert(at, rng.choice(lines))
+        else:
+            toks = lines[at % len(lines)].split(" ")
+            k = rng.randrange(len(toks))
+            # numbers and chunk ids are mostly replaced by their own kind
+            if toks[k].isdigit() and rng.random() < 0.8:
+                toks[k] = rng.choice(_FUZZ_NUMBERS)
+            elif toks[k][:1] == "f" and toks[k][1:].isdigit() and rng.random() < 0.8:
+                toks[k] = "f" + rng.choice(_FUZZ_NUMBERS)
+            else:
+                toks[k] = token()
+            lines[at % len(lines)] = " ".join(toks)
+    return "\n".join(lines)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(fuzzed_descriptions())
+def test_parse_fuzz_raises_only_system_build_error(text):
+    try:
+        parse_system_description(text)
+    except SystemBuildError:
+        pass
