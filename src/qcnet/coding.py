@@ -179,18 +179,21 @@ def coded_transform(
     return transformed, links
 
 
-def check_achievable_unicast(layout: CodedLayout) -> tuple[bool, list[tuple[int, str, int, int]]]:
-    """Unicast achievability: every touched (drive, generation) must hold at
-    least s coded chunks of that generation (s-1 additional ones).
-
-    Violations list (drive, generation, stored, required).
-    """
+def _count_violations(layout: CodedLayout, extra: int) -> tuple[bool, list[tuple[int, str, int, int]]]:
+    """Every touched (drive, generation) must hold at least s + extra coded
+    chunks; violations list (drive, generation, stored, required)."""
     violations = []
     for (n, gen_id), count in sorted(layout.counts.items()):
-        s = layout.generations[gen_id].s
-        if count < s:
-            violations.append((n, gen_id, count, s))
+        required = layout.generations[gen_id].s + extra
+        if count < required:
+            violations.append((n, gen_id, count, required))
     return (not violations, violations)
+
+
+def check_achievable_unicast(layout: CodedLayout) -> tuple[bool, list[tuple[int, str, int, int]]]:
+    """Unicast achievability: every touched (drive, generation) must hold at
+    least s coded chunks of that generation (s-1 additional ones)."""
+    return _count_violations(layout, 0)
 
 
 def check_achievable_any(
@@ -198,12 +201,7 @@ def check_achievable_any(
 ) -> tuple[bool, list[tuple[int, str, int, int]]]:
     """General-pattern achievability: every touched (drive, generation) must
     hold at least s + N + 1 coded chunks (s + N additional ones)."""
-    violations = []
-    for (n, gen_id), count in sorted(layout.counts.items()):
-        required = layout.generations[gen_id].s + num_users + 1
-        if count < required:
-            violations.append((n, gen_id, count, required))
-    return (not violations, violations)
+    return _count_violations(layout, num_users + 1)
 
 
 class DofTracker:

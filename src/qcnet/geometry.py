@@ -1,14 +1,14 @@
 """Exact rational polytope machinery.
 
-Points, facets and LP solutions are exact rationals (``fractions.Fraction``),
-but both kernels compute on Python ints: each input is scaled once by the
-lcm of its denominators and then eliminated fraction-free (Edmonds 1967,
-Bareiss 1968), every division exact.  Convex-hull combinatorics come from
-Qhull (scipy) applied to the integer-scaled points; facet hyperplanes, the
-vertex set, and volumes are then rebuilt in integer arithmetic and every
-input point is verified against every facet, so a numerically wrong hull
-raises instead of propagating.  Linear-program feasibility (membership,
-rate decomposition) never touches floats.
+Points and LP columns come in as ints or ``fractions.Fraction``s (rate
+points are int tuples); only results leave as Fractions: hull vertices,
+offsets, volumes and LP weights.  In between, both kernels compute on
+Python ints: each input is scaled once by the lcm of its denominators and
+eliminated fraction-free (Edmonds 1967, Bareiss 1968), every division
+exact.  Convex-hull combinatorics come from Qhull (scipy) on the scaled
+points; facets, vertices and volumes are rebuilt in integer arithmetic and
+every input point is verified against every facet, so a numerically wrong
+hull raises instead of propagating.  LPs never touch floats.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 Vec = tuple[Fraction, ...]
+Point = tuple[int | Fraction, ...]
 
 
 class GeometryError(RuntimeError):
@@ -48,8 +49,12 @@ def _dot(a, b) -> int:
 
 
 def _scaled(rows) -> tuple[list[list[int]], int]:
-    """Integer rows and the lcm of every denominator: rows == ints / scale."""
-    scale = lcm(*{x.denominator for row in rows for x in row})
+    """Integer rows and the lcm of every denominator: rows == ints / scale.
+    GeometryError for a coordinate that is not an int or a Fraction."""
+    try:
+        scale = lcm(*{x.denominator for row in rows for x in row})
+    except AttributeError:
+        raise GeometryError("coordinates must be ints or Fractions") from None
     return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
@@ -124,9 +129,9 @@ def _kernel_vector(mat: list[list[int]], pivots: list[int], free: int, n: int) -
 # --- exact simplex (phase-1 feasibility) -------------------------------------
 
 
-def exact_lp_feasible(columns: list[Vec], target: Vec) -> list[Fraction] | None:
+def exact_lp_feasible(columns: list[Point], target: Point) -> list[Fraction] | None:
     """Find phi >= 0 with sum_c phi_c * columns[c] == target and
-    sum(phi) <= 1, exactly.
+    sum(phi) <= 1, exactly, for int or Fraction columns and target.
 
     The remainder 1 - sum(phi) is a slack variable: the weight on the
     origin.  Returns the phi vector or None when infeasible.
@@ -216,18 +221,18 @@ class HullResult:
     volume: Fraction
 
 
-def _full_dim_hull(points: list[Vec], dim: int) -> tuple[list[int], list[tuple[tuple[int, ...], Fraction]], Fraction]:
-    """Vertex indices, facets, and exact volume for a full-dimensional set."""
+def _full_dim_hull(ints: list[tuple[int, ...]], scale: int, dim: int) -> tuple[list[int], list[tuple[tuple[int, ...], Fraction]], Fraction]:
+    """Vertex indices, facets, and exact volume for the full-dimensional
+    distinct points ``ints / scale``."""
     from scipy.spatial import ConvexHull  # deferred: keeps import cost off the LP path
 
     if dim == 1:
-        vals = [p[0] for p in points]
+        vals = [p[0] for p in ints]
         lo, hi = min(vals), max(vals)
-        facets = [((1,), Fraction(hi)), ((-1,), Fraction(-lo))]
+        facets = [((1,), Fraction(hi, scale)), ((-1,), Fraction(-lo, scale))]
         verts = [vals.index(lo), vals.index(hi)]
-        return verts, facets, hi - lo
+        return verts, facets, Fraction(hi - lo, scale)
 
-    ints, scale = _scaled(points)
     hull = ConvexHull(np.array(ints, dtype=float), qhull_options="Qt")
 
     npts = len(ints)
@@ -276,21 +281,23 @@ def _full_dim_hull(points: list[Vec], dim: int) -> tuple[list[int], list[tuple[t
     return vertices, [(a, Fraction(b, scale)) for a, b in facets], volume
 
 
-def exact_hull(raw_points: list) -> HullResult:
-    """Exact convex hull of rational points in any ambient dimension.
+def exact_hull(raw_points: list[Point]) -> HullResult:
+    """Exact convex hull of int or Fraction points (any sequences; other
+    coordinates raise GeometryError) in any ambient dimension.
 
-    Degenerate inputs are reduced to pivot coordinates of their affine
-    hull first; facets and vertices are mapped back to ambient space and
-    the ambient volume of a lower-dimensional hull is zero.
+    The points are scaled to ints once, then deduplicated and sorted as int
+    tuples.  Degenerate inputs are reduced to pivot coordinates of their
+    affine hull first; facets and vertices are mapped back to ambient space
+    and the ambient volume of a lower-dimensional hull is zero.
     """
-    points = sorted(set(frac_vector(p) for p in raw_points))
-    if not points:
+    ints, scale = _scaled(raw_points)
+    ints = sorted(set(map(tuple, ints)))
+    if not ints:
         raise GeometryError("no points")
-    ambient = len(points[0])
-    if any(len(p) != ambient for p in points):
+    ambient = len(ints[0])
+    if any(len(p) != ambient for p in ints):
         raise GeometryError("mixed point dimensions")
 
-    ints, scale = _scaled(points)
     p0 = ints[0]
     mat, pivots = _int_gauss_jordan([[x - y for x, y in zip(p, p0)] for p in ints[1:]])
     dim = len(pivots)
@@ -301,31 +308,27 @@ def exact_hull(raw_points: list) -> HullResult:
             normal = _kernel_vector(mat, pivots, free, ambient)
             equalities.append((normal, Fraction(_dot(normal, p0), scale)))
 
-    if dim == 0:
-        return HullResult(
-            ambient=ambient,
-            dim=0,
-            vertices=(points[0],),
-            facets=(),
-            equalities=tuple(equalities),
-            volume=Fraction(0),
-        )
-
-    reduced = [tuple(p[c] for c in pivots) for p in points]
-    vert_idx, red_facets, red_volume = _full_dim_hull(reduced, dim)
-
     facets: list[tuple[tuple[int, ...], Fraction]] = []
-    for a, b in red_facets:
-        full = [0] * ambient
-        for t, pc in enumerate(pivots):
-            full[pc] = a[t]  # already primitive; embedding adds only zeros
-        facets.append((tuple(full), b))
+    if dim == 0:
+        vert_idx, volume = [0], Fraction(0)
+    else:
+        reduced = [tuple(p[c] for c in pivots) for p in ints]
+        # scale by the reduced points' own lcm, so Qhull sees what they alone would give
+        common = gcd(scale, *(x for p in reduced for x in p))
+        if common > 1:
+            reduced = [tuple(x // common for x in p) for p in reduced]
+        vert_idx, red_facets, red_volume = _full_dim_hull(reduced, scale // common, dim)
+        for a, b in red_facets:
+            full = [0] * ambient
+            for t, pc in enumerate(pivots):
+                full[pc] = a[t]  # already primitive; embedding adds only zeros
+            facets.append((tuple(full), b))
+        volume = red_volume if dim == ambient else Fraction(0)
 
-    volume = red_volume if dim == ambient else Fraction(0)
     return HullResult(
         ambient=ambient,
         dim=dim,
-        vertices=tuple(points[i] for i in sorted(vert_idx)),
+        vertices=tuple(tuple(Fraction(x, scale) for x in ints[i]) for i in sorted(vert_idx)),
         facets=tuple(facets),
         equalities=tuple(equalities),
         volume=volume,

@@ -4,7 +4,8 @@ Each stable set achieves the rate point counting how many of its reads
 serve each flow; timesharing over the family (with idling allowed) makes
 every convex combination of those points, and nothing else, servable.
 The region is therefore the convex hull of the generator points together
-with the origin, kept in exact rational arithmetic.
+with the origin.  The points stay int tuples; the exact kernels return
+Fractions.
 """
 
 from __future__ import annotations
@@ -41,14 +42,12 @@ class RateRegion:
         return len(self.flows)
 
     @cached_property
-    def _distinct_points(self) -> tuple[Vec, ...]:
-        pts = {frac_vector(g) for g in self.generators}
-        pts.add(tuple(Fraction(0) for _ in range(self.dimension)))
-        return tuple(sorted(pts))
+    def _distinct_points(self) -> list[tuple[int, ...]]:
+        return sorted({*self.generators, (0,) * self.dimension})
 
     @cached_property
     def hull(self) -> HullResult:
-        return exact_hull(list(self._distinct_points))
+        return exact_hull(self._distinct_points)
 
     def volume(self) -> Fraction:
         """Exact Lebesgue volume; 0 for degenerate regions."""
@@ -69,7 +68,7 @@ class RateRegion:
             raise ValueError(f"rate vector has {len(vec)} components, region has {self.dimension}")
         if any(x < 0 for x in vec):
             return False
-        columns = [p for p in self._distinct_points if any(x != 0 for x in p)]
+        columns = [p for p in self._distinct_points if any(p)]
         return exact_lp_feasible(columns, vec) is not None
 
     def vertices(self) -> tuple[Vec, ...]:
@@ -109,9 +108,8 @@ def rate_region(
         family = enumerate_stable_sets(graph)
     if incidence is None:
         incidence = flow_incidence(family)
-    generators = tuple(
-        incidence.generator_point(ell) for ell in range(1, family.size + 1)
-    )
+    # one row per stable set: the transpose of the per-flow incidence vectors
+    generators = tuple(zip(*(incidence.per_flow[f] for f in incidence.flows)))
     return RateRegion(
         flows=incidence.flows,
         family=family,

@@ -96,7 +96,7 @@ def decompose_rate(region: RateRegion, rho) -> RateDecomposition:
         raise ScheduleError(
             f"rate vector has {len(target)} components, region has {region.dimension}"
         )
-    columns = [frac_vector(g) for g in region.generators]
+    columns = region.generators
     phi = exact_lp_feasible(columns, target)
     if phi is None:
         raise ScheduleError(f"rate vector {tuple(map(str, target))} is outside the region")
@@ -111,7 +111,7 @@ def decompose_rate(region: RateRegion, rho) -> RateDecomposition:
             for c, val in zip(allowed, trial):
                 phi[c] = val
     achieved = tuple(
-        sum(phi[c] * columns[c][r] for c in range(len(columns)))
+        sum((phi[c] * columns[c][r] for c in allowed), Fraction(0))
         for r in range(region.dimension)
     )
     if achieved != target:

@@ -39,9 +39,7 @@ class StableSetFamily:
 
 
 def enumerate_stable_sets(
-    graph: ConflictGraph,
-    vertex_guard: int = STABLE_SET_VERTEX_GUARD,
-    family_guard: int = STABLE_SET_FAMILY_GUARD,
+    graph: ConflictGraph, family_guard: int = STABLE_SET_FAMILY_GUARD
 ) -> StableSetFamily:
     """Exhaustively enumerate every nonempty independent set.
 
@@ -49,8 +47,8 @@ def enumerate_stable_sets(
     and on family size so edgeless blowups fail fast.
     """
     n = graph.num_vertices
-    if n > vertex_guard:
-        raise SizeGuardError(f"{n} vertices exceed the stable-set guard {vertex_guard}")
+    if n > STABLE_SET_VERTEX_GUARD:
+        raise SizeGuardError(f"{n} vertices exceed the stable-set guard {STABLE_SET_VERTEX_GUARD}")
     nonadj_above: list[int] = []
     for v in range(n):
         mask = 0
@@ -85,10 +83,6 @@ class FlowIncidence:
     flows: tuple[tuple[int, int], ...]
     per_link: dict[tuple[int, int | None, int], tuple[int, ...]]
     per_flow: dict[tuple[int, int], tuple[int, ...]]
-
-    def generator_point(self, ell: int) -> tuple[int, ...]:
-        """Rate point achieved by scheduling set ``ell`` (1-based) always."""
-        return tuple(self.per_flow[f][ell - 1] for f in self.flows)
 
 
 def flow_incidence(family: StableSetFamily) -> FlowIncidence:

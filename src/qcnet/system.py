@@ -34,6 +34,7 @@ __all__ = [
 
 MAX_USERS = 16
 MODE_ENUM_TRIPLE_GUARD = 24
+MISSING_NAMED = 5  # uncovered chunks named in the error; the rest are counted
 
 
 class SystemBuildError(ValueError):
@@ -249,9 +250,10 @@ def build_system(
         covered.update(stored_list)
         built.append(PhysicalDrive(units=units, stores=frozenset(stored_list)))
 
-    missing = set(range(1, num_chunks + 1)) - covered
-    if missing:
-        names = " ".join(f"f{i}" for i in sorted(missing))
+    if len(covered) < num_chunks:  # every stored id is in range 1..num_chunks
+        first = list(itertools.islice((i for i in itertools.count(1) if i not in covered), MISSING_NAMED))
+        more = num_chunks - len(covered) - len(first)
+        names = " ".join(f"f{i}" for i in first) + (f" ... and {more} more" if more else "")
         raise SystemBuildError(f"uncovered chunk: {names} stored on no drive")
 
     return StorageSystem(

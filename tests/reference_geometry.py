@@ -5,7 +5,9 @@ These are the straightforward ``fractions.Fraction`` versions of
 a phase-1 tableau simplex that rewrites the whole Fraction tableau on every
 pivot, and a hull that solves one RREF per Qhull simplex.  The library runs
 integer (fraction-free) versions of the same algorithms with the same pivot
-rules; the property tests require their answers to be identical.  Test code
+rules; the property tests require their answers to be identical.  Only the
+result type, the error class and ``frac_vector`` come from the library, so
+a fault in an integer kernel cannot hide in its oracle too.  Test code
 only: nothing in ``src/`` imports this module.
 """
 
@@ -17,7 +19,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from qcnet.geometry import GeometryError, HullResult, Vec, _int_det, frac_vector
+from qcnet.geometry import GeometryError, HullResult, Vec, frac_vector
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -42,6 +44,24 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(mat):
             break
     return mat, pivots
+
+
+def _det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by Fraction Gaussian elimination with row swaps."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(mat)):
+        pivot_row = next((i for i in range(c, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
 
 
 def _primitive_normal(vec: list[Fraction]) -> tuple[int, ...]:
@@ -177,7 +197,7 @@ def _full_dim_hull(points: list[Vec], dim: int):
             raise GeometryError("claimed facet plane passes through the centroid")
         facet_map.setdefault((a, b), None)
         mat = [[int((Fraction(ints[i][c]) - centroid[c]) * cden) for c in range(dim)] for i in simplex]
-        vol_num += Fraction(abs(_int_det(mat)), cden**dim)
+        vol_num += abs(_det(mat)) / cden**dim
 
     facets_scaled = list(facet_map)
     for a, b in facets_scaled:

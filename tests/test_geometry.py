@@ -65,6 +65,9 @@ def test_single_point_hull():
 def test_rational_coordinates():
     hull = exact_hull([(0,), (F(5, 3),)])
     assert hull.volume == F(5, 3)
+    for bad in (0.5, "1"):  # rational coordinates only, as in exact_lp_feasible
+        with pytest.raises(GeometryError, match="ints or Fractions"):
+            exact_hull([(0, 0), (1, bad), (1, 1)])
 
 
 def test_facets_supported_by_points():
@@ -177,8 +180,17 @@ def _outcome(fn, points):
 
 @settings(max_examples=150, deadline=None)
 @given(point_sets())
+# lattice points lifted onto x4 = 1/6: handed to Qhull at the scale 6 of the
+# whole set instead of their own scale 1, they come back in another facet order
+@example([(F(a), F(b), F(c), F(1, 6)) for a, b, c in [
+    (-2, -2, 3), (-2, -1, 3), (-1, -1, 1), (-1, 0, 1), (0, -1, 2),
+    (0, -1, 3), (1, 0, -2), (3, -2, -1), (3, 0, 0)]])
 def test_hull_matches_fraction_oracle(points):
     hull = _outcome(exact_hull, points)
     expected = _outcome(reference_hull, points)
     assert hull == expected
     assert repr(hull) == repr(expected)  # same field types, facet order included
+    # the same points as lists, with integral coordinates given as ints
+    mixed = [[int(x) if x.denominator == 1 and (i + r) % 2 else x for r, x in enumerate(p)]
+             for i, p in enumerate(points)]
+    assert repr(_outcome(exact_hull, mixed)) == repr(hull)

@@ -55,6 +55,8 @@ def test_decompose_interior_leaves_idle_slack(ex1_unicast_region):
     decomp = decompose_rate(ex1_unicast_region, (Fraction(1, 4), Fraction(1, 4)))
     assert decomp.achieved == (Fraction(1, 4), Fraction(1, 4))
     assert sum(decomp.phis) == Fraction(1, 2)
+    idle = decompose_rate(ex1_unicast_region, (0, 0))
+    assert idle.achieved == (0, 0) and all(type(x) is Fraction for x in idle.achieved)
 
 
 def test_frame_sizes(ex1_multicast_region, ex1_unicast_region):

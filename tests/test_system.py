@@ -40,6 +40,11 @@ def test_service_unit_expansion():
 def test_uncovered_chunk_rejected():
     with pytest.raises(SystemBuildError, match="uncovered chunk: f2"):
         build_system(2, 1, [(1, {1})], rx=(2,))
+    # a huge declared count names a few chunks and counts the rest
+    text = "[system]\nusers = 1\nchunks = 1000000\n[drive 1]\nstores = f1\n"
+    with pytest.raises(SystemBuildError, match=r"uncovered chunk: f2 f3 f4 f5 f6 \.\.\. and 999994 more") as err:
+        parse_system_description(text)
+    assert len(str(err.value)) < 200
 
 
 def test_duplicate_replica_rejected():
