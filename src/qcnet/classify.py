@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .conflict import ConflictGraph
 
 __all__ = [
@@ -85,6 +83,8 @@ def is_perfect(
     Returns (True, None), (False, (kind, cycle)), or (None, None) when the
     graph exceeds the cap and the verdict is unknown.
     """
+    import networkx as nx  # deferred: keeps import cost off `import qcnet`
+
     if graph.num_vertices > cap:
         return None, None
     for kind, g in (("odd_hole", graph.to_networkx()), ("odd_antihole", graph.to_networkx(complement=True))):

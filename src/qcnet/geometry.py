@@ -211,6 +211,12 @@ class HullResult:
     hull; ``equalities`` pin the affine hull itself (empty when the hull is
     full-dimensional).  ``volume`` is the ambient-dimensional Lebesgue
     volume: zero whenever dim < ambient.
+
+    The facet set is exact, but its order is not canonical: facets are
+    listed in the order of Qhull's first simplex on each, and Qhull's
+    triangulation follows float rounding (the same points at another
+    scale can come back in another order).  A scipy/Qhull upgrade can
+    therefore reorder ``facets``, and the H-representation text with it.
     """
 
     ambient: int

@@ -90,13 +90,21 @@ def decompose_rate(region: RateRegion, rho) -> RateDecomposition:
     pruned deterministically: later sets are dropped first whenever the
     remaining family still reaches rho, which biases the support toward
     the earliest (canonical) sets.
+
+    The LPs run over ``region.lp_columns``, the distinct generators in
+    family order, and each weight goes to the set where its generator
+    first occurs.  Under Bland's rule a repeated column has the same
+    tableau column as its first occurrence and never enters ahead of it
+    (a zero generator repeats the slack, which comes last), so the pivots
+    and weights are those of the LP over the whole family, which on the
+    ex7 coded multicast+MPR region has 999 columns instead of 189.
     """
     target = frac_vector(rho)
     if len(target) != region.dimension:
         raise ScheduleError(
             f"rate vector has {len(target)} components, region has {region.dimension}"
         )
-    columns = region.generators
+    columns, family_index = region.lp_columns
     phi = exact_lp_feasible(columns, target)
     if phi is None:
         raise ScheduleError(f"rate vector {tuple(map(str, target))} is outside the region")
@@ -116,7 +124,10 @@ def decompose_rate(region: RateRegion, rho) -> RateDecomposition:
     )
     if achieved != target:
         raise ScheduleError("decomposition does not reproduce the rate vector")
-    return RateDecomposition(region=region, phis=tuple(phi), achieved=achieved)
+    phis = [Fraction(0)] * len(region.generators)
+    for c in allowed:
+        phis[family_index[c]] = phi[c]
+    return RateDecomposition(region=region, phis=tuple(phis), achieved=achieved)
 
 
 def build_frame_schedule(decomp: RateDecomposition, frame_cap: int = FRAME_CAP) -> FrameSchedule:
@@ -124,16 +135,16 @@ def build_frame_schedule(decomp: RateDecomposition, frame_cap: int = FRAME_CAP) 
 
     F is the lcm of the denominators of every weight and every achieved
     rate (all in lowest terms); blocks run in canonical set order and any
-    slack becomes trailing idle slots.
+    slack becomes trailing idle slots.  Zero weights add no slots and have
+    denominator 1, so only the support is visited.
     """
-    denoms = [phi.denominator for phi in decomp.phis] + [
-        r.denominator for r in decomp.achieved
-    ]
+    support = [(ell, phi) for ell, phi in enumerate(decomp.phis, start=1) if phi]
+    denoms = [phi.denominator for _ell, phi in support] + [r.denominator for r in decomp.achieved]
     frame = lcm(*denoms) if denoms else 1
     if frame > frame_cap:
         raise ScheduleError(f"frame size {frame} exceeds the cap {frame_cap}")
     slots: list[int] = []
-    for ell, phi in enumerate(decomp.phis, start=1):
+    for ell, phi in support:
         slots.extend([ell] * int(phi * frame))
     slots.extend([IDLE] * (frame - len(slots)))
     return FrameSchedule(region=decomp.region, frame_size=frame, slots=tuple(slots))

@@ -11,8 +11,10 @@ from qcnet import (
     TrafficPattern,
     build_conflict_graph,
     build_system,
+    parse_system_description,
     rate_region,
 )
+from qcnet.cli import TABLE_ROWS, _region_for
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,6 +51,16 @@ def ex1_multicast_region(ex1_system):
 @pytest.fixture
 def ex1_unicast_region(ex1_system):
     return rate_region(build_conflict_graph(ex1_system, TrafficPattern.SINGLE_UNICAST))
+
+
+def table_regions():
+    """(label, region) for the 28 cells of the ex6/ex7 compare tables."""
+    for name in ("ex6", "ex7"):
+        desc = parse_system_description((DATA / f"{name}.txt").read_text())
+        for row, pattern, mpr in TABLE_ROWS:
+            for coded in (False, True):
+                label = f"{name}:{row}:{'coded' if coded else 'uncoded'}"
+                yield label, _region_for(desc, pattern, mpr, coded, "finite")
 
 
 def monte_carlo_volume(region, samples: int, seed: int) -> tuple[float, float]:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +153,15 @@ def test_classify_report_consistency(ex6_system):
     assert report.net_witness is None
     text = report.as_text(g)
     assert "quasi_line\ttrue" in text
+
+
+def test_import_leaves_networkx_and_scipy_unloaded():
+    # both are imported where they are used: is_perfect, the exact hull
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import qcnet; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

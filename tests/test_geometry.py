@@ -118,22 +118,24 @@ _coord = st.one_of(
 )
 
 
-@st.composite
-def lp_instances(draw):
-    d = draw(st.integers(1, 4))
-    columns = draw(st.lists(st.tuples(*[_coord] * d), max_size=7))
-    if columns and draw(st.booleans()):
-        columns.append(draw(st.sampled_from(columns)))  # a repeated column
+def _lp_target(draw, columns, d):
     if columns and draw(st.booleans()):
         # a convex combination of some columns: feasible, often on the boundary
         weights = draw(st.lists(st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2)]),
                                 min_size=len(columns), max_size=len(columns)))
         if sum(weights) > 1:
             weights = [w / sum(weights) for w in weights]
-        target = tuple(sum(w * col[r] for w, col in zip(weights, columns)) for r in range(d))
-    else:
-        target = draw(st.tuples(*[_coord] * d))  # negative components included
-    return columns, target
+        return tuple(sum(w * col[r] for w, col in zip(weights, columns)) for r in range(d))
+    return draw(st.tuples(*[_coord] * d))  # negative components included
+
+
+@st.composite
+def lp_instances(draw):
+    d = draw(st.integers(1, 4))
+    columns = draw(st.lists(st.tuples(*[_coord] * d), max_size=7))
+    if columns and draw(st.booleans()):
+        columns.append(draw(st.sampled_from(columns)))  # a repeated column
+    return columns, _lp_target(draw, columns, d)
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,3 +196,37 @@ def test_hull_matches_fraction_oracle(points):
     mixed = [[int(x) if x.denominator == 1 and (i + r) % 2 else x for r, x in enumerate(p)]
              for i, p in enumerate(points)]
     assert repr(_outcome(exact_hull, mixed)) == repr(hull)
+
+
+@st.composite
+def lp_instances_with_repeats(draw):
+    """Columns drawn from a small pool, so repeats (of zero columns too) are
+    common, and targets that are feasible, infeasible or negative."""
+    d = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[_coord] * d), min_size=1, max_size=4)) + [(F(0),) * d]
+    columns = draw(st.lists(st.sampled_from(pool), max_size=9))
+    return columns, _lp_target(draw, columns, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_instances_with_repeats())
+# the zero column duplicates the slack's column and sits ahead of it, and
+# the second zero column duplicates the first
+@example(([(F(1), F(0)), (F(0), F(0)), (F(0), F(1)), (F(0), F(0)), (F(1), F(0))], (F(1, 4), F(1, 4))))
+def test_lp_over_first_occurrences_matches_repeats(instance):
+    # Bland's rule never lets a repeated column enter ahead of its first
+    # occurrence, so solving over the distinct columns and mapping back
+    # gives the same phi as solving over all of them
+    columns, target = instance
+    first: dict[tuple, int] = {}
+    for c, col in enumerate(columns):
+        first.setdefault(col, c)
+    distinct = exact_lp_feasible(list(first), target)
+    phi = exact_lp_feasible(columns, target)
+    if distinct is None:
+        assert phi is None
+        return
+    mapped = [F(0)] * len(columns)
+    for c, val in zip(first.values(), distinct):
+        mapped[c] = val
+    assert phi == mapped

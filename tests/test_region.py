@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import monte_carlo_volume
+from conftest import monte_carlo_volume, table_regions
 from qcnet import (
     TrafficPattern,
     build_conflict_graph,
@@ -14,6 +15,7 @@ from qcnet import (
     rate_region,
     striped_layout,
 )
+from reference_geometry import reference_lp_feasible
 
 
 def region_for(sys_, pattern, coded=False):
@@ -129,3 +131,23 @@ def test_representation_exports(ex1_unicast_region):
 def test_generator_duplicates_preserved(ex1_multicast_region):
     # one generator per stable set, even when rate points repeat
     assert len(ex1_multicast_region.generators) == ex1_multicast_region.family.size
+
+
+def test_contains_matches_fraction_oracle_on_table_rows():
+    # The oracle solves over the hull's nonzero vertices, the region's
+    # V-representation, in sorted order: another column set and order than
+    # the family-ordered generators contains uses, and the Fraction kernel
+    # instead of the integer one.
+    rng = random.Random(5)
+    for label, region in table_regions():
+        vertices = region.vertices()
+        columns = [v for v in vertices if any(v)]
+        far = max(vertices, key=lambda v: (sum(v), v))
+        queries = [(far, True), (tuple(Fraction(21, 20) * x for x in far), False)]
+        for _ in range(3):
+            weights = [Fraction(rng.randint(0, 4), 4 * len(vertices)) for _ in vertices]
+            inside = tuple(sum(w * v[r] for w, v in zip(weights, vertices)) for r in range(region.dimension))
+            queries.append((inside, True))
+        for rho, expected in queries:
+            oracle = reference_lp_feasible(columns, rho) is not None
+            assert region.contains(rho) == oracle == expected, (label, rho)

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import table_regions
 from qcnet import (
     TrafficPattern,
     build_conflict_graph,
     build_frame_schedule,
     build_system,
     decompose_rate,
+    exact_lp_feasible,
     rate_region,
 )
 from qcnet.schedule import IDLE, MaxWeightPolicy, ScheduleError
@@ -49,6 +51,31 @@ def test_decompose_checks_its_reconstruction(ex1_multicast_region, monkeypatch):
     )
     with pytest.raises(ScheduleError, match="does not reproduce"):
         decompose_rate(ex1_multicast_region, (1, 1))
+
+
+def _whole_family_phis(region, rho):
+    """decompose_rate's LP and pruning loop over every generator, repeats
+    included."""
+    columns = region.generators
+    phi = exact_lp_feasible(columns, rho)
+    allowed = [ell for ell in range(len(columns)) if phi[ell] > 0]
+    for ell in sorted(allowed, reverse=True):
+        trial = exact_lp_feasible([columns[c] for c in allowed if c != ell], rho)
+        if trial is not None:
+            allowed.remove(ell)
+            phi = [Fraction(0)] * len(columns)
+            for c, val in zip(allowed, trial):
+                phi[c] = val
+    return tuple(phi)
+
+
+def test_decompose_matches_whole_family_lp():
+    # the LPs over distinct generators put every weight on the set where
+    # its generator first occurs, as the LP over the whole family does
+    for label, region in table_regions():
+        t = min(b / sum(a) for a, b in region.hull.facets if sum(a) > 0)
+        for rho in ((t,) * region.dimension, tuple(x / 2 for x in max(region.vertices()))):
+            assert decompose_rate(region, rho).phis == _whole_family_phis(region, rho), label
 
 
 def test_decompose_interior_leaves_idle_slack(ex1_unicast_region):
