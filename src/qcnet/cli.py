@@ -138,21 +138,27 @@ def _cmd_region(args) -> None:
     desc = _load(args.config)
     pattern = _resolve_pattern(desc, args)
     region = _region_for(desc, pattern, mpr=False, coded=args.coded, io=args.io)
+    volume = region.volume()  # its dimension guard trips before the hull is built
     parts = [
         "# vertices\n",
         region.v_representation_text(),
         "# inequalities\n",
         region.h_representation_text(),
-        f"volume\t{region.volume()}\t{format_volume(region.volume())}\n",
+        f"volume\t{volume}\t{format_volume(volume)}\n",
     ]
     _emit("".join(parts), args.out)
 
 
 def _parse_rates(raw: str, dimension: int) -> tuple[Fraction, ...]:
-    rates = tuple(Fraction(tok) for tok in raw.split(","))
+    rates = []
+    for tok in raw.split(","):
+        try:
+            rates.append(Fraction(tok))
+        except ZeroDivisionError:
+            raise SystemBuildError(f"--rates value {tok!r} has a zero denominator") from None
     if len(rates) != dimension:
         raise SystemBuildError(f"--rates needs {dimension} comma-separated values")
-    return rates
+    return tuple(rates)
 
 
 def _cmd_schedule(args) -> None:

@@ -3,10 +3,14 @@
 Vertices are candidate deliveries: a chunk read by one virtual drive and
 fanned out to one nonempty user subset (the drive is dropped in the
 infinite-I/O regime, where per-drive blocking never binds).  Two vertices
-conflict when they are two states of the same read hyperedge (same drive,
-or same chunk in the infinite regime) or when activating both at once
-violates a reception, drive, or traffic-pattern constraint.  Stable sets
-of the graph are exactly the valid modes.
+conflict when activating both at once breaks a timeslot constraint; see
+``build_conflict_graph`` for the three pairwise rules.  A budget rx > 1
+binds only sets of rx + 1 vertices, so stable sets are exactly the valid
+modes only when every rx is 1 or at least the most deliveries one user can
+get in a slot: the virtual-drive count, or T in the infinite regime.
+Otherwise they can outnumber the modes: ``build_system(2, 3, [(1, {1, 2}),
+(1, {1}), (1, {2})], rx=(2, 2, 2))`` under multicast has 959 stable sets
+and 621 valid modes.
 """
 
 from __future__ import annotations
@@ -14,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .system import (
-    KnowledgeState,
-    Mode,
-    SizeGuardError,
-    StorageSystem,
-    TrafficPattern,
-    build_system,
-    validate_mode,
-)
+from .system import SizeGuardError, StorageSystem, TrafficPattern
 
 __all__ = ["Vertex", "ConflictGraph", "build_conflict_graph", "mask_users", "users_mask"]
 
@@ -68,11 +64,10 @@ class Vertex:
         base = f"v_{self.chunk}_{k}_{self.users}"
         return base + "_dnt" if self.dnt else base
 
-    def deliveries(self, surrogate_drive: int | None = None) -> frozenset[tuple[int, int, int]]:
+    def deliveries(self) -> frozenset[tuple[int, int, int | None]]:
         if self.dnt:
             return frozenset()
-        k = self.drive if self.drive is not None else surrogate_drive
-        return frozenset((self.chunk, j, k) for j in mask_users(self.users))
+        return frozenset((self.chunk, j, self.drive) for j in mask_users(self.users))
 
 
 @dataclass(frozen=True)
@@ -127,30 +122,14 @@ class ConflictGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _pattern_masks(pattern: TrafficPattern, num_users: int) -> tuple[int, ...]:
-    """User-subset bitmasks a single vertex may carry under a pattern."""
+def _admitted_masks(member: TrafficPattern, num_users: int) -> frozenset[int]:
+    """User-subset bitmasks one read may carry under a non-composite pattern."""
     full = (1 << num_users) - 1
-    masks: set[int] = set()
-    for member in pattern.members:
-        if member is TrafficPattern.MULTICAST:
-            masks.update(range(1, full + 1))
-        elif member is TrafficPattern.BROADCAST:
-            masks.add(full)
-        else:  # unicast variants: singleton receivers
-            masks.update(1 << (j - 1) for j in range(1, num_users + 1))
-    return tuple(sorted(masks))
-
-
-def _surrogate_infinite(sys: StorageSystem) -> StorageSystem:
-    """One single-unit drive per chunk: drive constraints never couple
-    distinct chunks, which is exactly the infinite-I/O regime."""
-    return build_system(
-        num_chunks=sys.num_chunks,
-        num_users=sys.num_users,
-        drives=[(1, {i}) for i in range(1, sys.num_chunks + 1)],
-        rx=sys.rx,
-        always_innovative=sys.always_innovative,
-    )
+    if member is TrafficPattern.MULTICAST:
+        return frozenset(range(1, full + 1))
+    if member is TrafficPattern.BROADCAST:
+        return frozenset((full,))
+    return frozenset(1 << j for j in range(num_users))  # unicast: one receiver per read
 
 
 def build_conflict_graph(
@@ -162,58 +141,55 @@ def build_conflict_graph(
 ) -> ConflictGraph:
     """Build the conflict graph for a traffic pattern and I/O regime.
 
-    Edges delegate to validate_mode on the union of the two vertices'
-    deliveries with an all-ones knowledge state, except that two distinct
-    states of one read hyperedge (same virtual drive, or same chunk when
-    ``io="infinite"``) always conflict.  Do-not-transmit companions are
-    added only on request and are pendant to their transmit vertex.
+    A vertex carries any user mask some member pattern admits.  Two
+    transmit vertices conflict when (1) they are two states of one read
+    hyperedge: the same virtual drive, or the same chunk when
+    ``io="infinite"``; (2) they share a user whose reception budget is 1;
+    or (3) no member pattern admits both masks in one slot: single unicast
+    admits no second read, multiple unicast singleton masks, broadcast the
+    full mask and multicast any mask.  These are ``validate_mode``'s
+    constraints on the two vertices' deliveries, every chunk innovative.
+    Do-not-transmit companions are added only on request and are pendant
+    to their transmit vertex.
     """
     if io not in ("finite", "infinite"):
         raise ValueError(f"unknown io regime {io!r}")
-    masks = _pattern_masks(pattern, sys.num_users)
+    admitted = {member: _admitted_masks(member, sys.num_users) for member in pattern.members}
+    masks = sorted(frozenset().union(*admitted.values()))
     reads = sum(d.units * len(d.stores) for d in sys.drives) if io == "finite" else sys.num_chunks
     count = reads * len(masks) * (2 if include_dnt else 1)
     if count > vertex_cap:  # before any vertex or virtual drive is built
         raise SizeGuardError(f"{count} vertices exceed the cap {vertex_cap}")
 
-    verts: list[Vertex] = []
     if io == "finite":
-        check_sys = sys
-        for (i, k) in sys.stored_pairs:
-            verts.extend(Vertex(i, k, m) for m in masks)
+        verts = [Vertex(i, k, m) for (i, k) in sys.stored_pairs for m in masks]
     else:
-        check_sys = _surrogate_infinite(sys)
-        for i in range(1, sys.num_chunks + 1):
-            verts.extend(Vertex(i, None, m) for m in masks)
+        verts = [Vertex(i, None, m) for i in range(1, sys.num_chunks + 1) for m in masks]
+    if include_dnt:
+        verts += [replace(v, dnt=True) for v in verts]
     verts.sort(key=Vertex.sort_key)
 
-    if include_dnt:
-        verts.extend([replace(v, dnt=True) for v in list(verts)])
-        verts.sort(key=Vertex.sort_key)
+    single_rx = users_mask(j for j, r in enumerate(sys.rx, start=1) if r == 1)
+    pair_masks = [s for member, s in admitted.items() if member is not TrafficPattern.SINGLE_UNICAST]
 
-    knowledge = KnowledgeState.all_innovative()
-    n = len(verts)
-    adj: list[set[int]] = [set() for _ in range(n)]
-
-    def hyperedge(v: Vertex):
+    def hyperedge(v: Vertex) -> int:
         return v.drive if io == "finite" else v.chunk
 
+    def conflict(va: Vertex, vb: Vertex) -> bool:
+        if va.dnt or vb.dnt:
+            # companion is adjacent only to its own transmit vertex
+            return (va.chunk, va.drive, va.users) == (vb.chunk, vb.drive, vb.users)
+        return (
+            hyperedge(va) == hyperedge(vb)
+            or bool(va.users & vb.users & single_rx)
+            or not any(va.users in s and vb.users in s for s in pair_masks)
+        )
+
+    n = len(verts)
+    adj: list[set[int]] = [set() for _ in range(n)]
     for a in range(n):
-        va = verts[a]
         for b in range(a + 1, n):
-            vb = verts[b]
-            if va.dnt or vb.dnt:
-                # companion is adjacent only to its own transmit vertex
-                conflict = (va.chunk, va.drive, va.users) == (vb.chunk, vb.drive, vb.users)
-            elif hyperedge(va) == hyperedge(vb):
-                conflict = True
-            else:
-                joint = Mode(
-                    va.deliveries(surrogate_drive=va.chunk)
-                    | vb.deliveries(surrogate_drive=vb.chunk)
-                )
-                conflict = not validate_mode(check_sys, knowledge, joint, pattern).valid
-            if conflict:
+            if conflict(verts[a], verts[b]):
                 adj[a].add(b)
                 adj[b].add(a)
 

@@ -213,8 +213,11 @@ def build_system(
 
     ``drives`` lists (service units, stored chunk ids) per physical drive,
     in drive order.  Raises SystemBuildError for uncovered chunks, empty or
-    out-of-range stored sets, or a reception budget outside the edge-based
-    set {1} | {T, T+1, ...}.
+    out-of-range stored sets, or a reception budget outside {1} | {T, T+1,
+    ...}.  Not every accepted budget is pairwise: conflict-graph stable sets
+    are exactly the valid modes only if every rx is 1 or at least the most
+    deliveries one user can get in a slot, the virtual-drive count (T when
+    ``io="infinite"``); see ``qcnet.conflict``.
     """
     if num_chunks < 1 or num_users < 1:
         raise SystemBuildError("need at least one chunk and one user")

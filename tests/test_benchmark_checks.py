@@ -25,10 +25,11 @@ def test_benchmark_selftest_passes():
     assert "14 of 14 passed" in proc.stdout
 
 
-@pytest.mark.parametrize("workload", ["rate-queries", "region-tables"])
+@pytest.mark.parametrize("workload", ["rate-queries", "region-tables", "graph-families"])
 def test_benchmark_workload_answers_pass_its_checks(workload):
-    # the LP, decomposition and hull answers against the benchmark's own
-    # independent checks; --seconds 0 runs the minimum number of passes
+    # the LP, decomposition, hull and conflict-graph answers against the
+    # benchmark's own independent checks; --seconds 0 runs the minimum
+    # number of passes
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
          "--workload", workload, "--seed", "3", "--seconds", "0"],

@@ -55,6 +55,33 @@ def test_region_on_malformed_config_fails(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_region_volume_guard_trips_before_the_hull(tmp_path, capsys, monkeypatch):
+    # 3 chunks x 3 users under multiple unicast: 9 flows, above the volume cap
+    config = tmp_path / "nine_flows.txt"
+    config.write_text(
+        "[system]\nusers = 3\nchunks = 3\n"
+        "[drive 1]\nstores = f1\n[drive 2]\nstores = f2\n[drive 3]\nstores = f3\n"
+        "[traffic]\npattern = multiple_unicast\n"
+    )
+
+    def no_hull(points):
+        raise AssertionError("the hull was built before the volume guard")
+
+    monkeypatch.setattr("qcnet.region.exact_hull", no_hull)
+    code, out, err = run_cli(capsys, "region", str(config))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "refused" in err
+
+
+@pytest.mark.parametrize("command", ["schedule", "simulate"])
+def test_zero_denominator_rate_is_one_error_line(capsys, command):
+    code, out, err = run_cli(capsys, command, str(DATA / "ex1.txt"), "--rates", "1/0,0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --rates value '1/0' has a zero denominator\n"
+
+
 def test_graph_export_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "graph", str(DATA / "ex1.txt"))
     code2, out2, _ = run_cli(capsys, "graph", str(DATA / "ex1.txt"))

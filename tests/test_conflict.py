@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import itertools
+
 import pytest
 
 from qcnet import (
@@ -9,6 +12,8 @@ from qcnet import (
     build_system,
     users_mask,
 )
+
+from reference_conflict import reference_graph
 
 
 def find(graph, chunk, drive, users):
@@ -133,3 +138,85 @@ def test_export_formats(ex1_system):
     assert adj.startswith("v_1_1_1:")
     edges = g.edge_list_text()
     assert "v_1_1_1 v_1_1_2" in edges
+
+
+def _layouts(num_chunks: int):
+    """Every layout of 1-3 physical drives of 1-2 units with at most three
+    virtual drives in total, covering all chunks, one per chunk relabelling."""
+    chunks = range(1, num_chunks + 1)
+    stores = [frozenset(c) for r in chunks for c in itertools.combinations(chunks, r)]
+    seen = set()
+    for count in (1, 2, 3):
+        for layout in itertools.combinations_with_replacement(itertools.product((1, 2), stores), count):
+            if sum(u for u, _ in layout) > 3 or frozenset().union(*(s for _, s in layout)) != set(chunks):
+                continue
+            key = min(
+                tuple(sorted((u, tuple(sorted(perm[i - 1] for i in s))) for u, s in layout))
+                for perm in itertools.permutations(chunks)
+            )
+            if key not in seen:
+                seen.add(key)
+                yield [(u, set(s)) for u, s in layout]
+
+
+def _rx_vectors(num_chunks: int, vdrives: int, num_users: int):
+    """All-ones, plus every rotation of the accepted budgets among
+    {1, T, V, V+1} across the users, so each user meets each budget."""
+    budgets = sorted({r for r in (1, num_chunks, vdrives, vdrives + 1) if r == 1 or r >= num_chunks})
+    rotations = {tuple(budgets[(j + o) % len(budgets)] for j in range(num_users)) for o in range(len(budgets))}
+    return sorted(rotations | {(1,) * num_users})
+
+
+def _transmit_part(vertices, adjacency):
+    # the DNT-off reference is the DNT-on reference without the companions
+    keep = [a for a, v in enumerate(vertices) if not v.dnt]
+    pos = {a: x for x, a in enumerate(keep)}
+    return (
+        tuple(vertices[a] for a in keep),
+        tuple(frozenset(pos[b] for b in adjacency[a] if b in pos) for a in keep),
+    )
+
+
+def _first_difference(graph, vertices, adjacency) -> str:
+    if graph.vertices != vertices:
+        return "vertices differ"
+    a, b = next(
+        (a, b)
+        for a in range(len(vertices))
+        for b in range(a + 1, len(vertices))
+        if graph.are_adjacent(a, b) != (b in adjacency[a])
+    )
+    return f"{vertices[a].label()} ~ {vertices[b].label()}: oracle says {b in adjacency[a]}"
+
+
+@functools.lru_cache(maxsize=None)
+def _infinite_reference(num_chunks, num_users, rx, pattern):
+    # the infinite regime's oracle sees only T, N and rx (its surrogate system)
+    sys_ = build_system(num_chunks, num_users, [(1, set(range(1, num_chunks + 1)))], rx=rx)
+    return reference_graph(sys_, pattern, "infinite", include_dnt=True)
+
+
+@pytest.mark.parametrize("num_chunks", [1, 2, 3])
+def test_edges_match_mode_oracle_exhaustively(num_chunks):
+    # every vertex pair of every small system against the per-pair
+    # validate_mode rule: up to 3 users on up to two virtual drives, one
+    # user on three; all patterns, both I/O regimes, DNT on and off
+    checked = 0
+    for drives in _layouts(num_chunks):
+        vdrives = sum(u for u, _ in drives)
+        for num_users in range(1, (3 if vdrives <= 2 else 1) + 1):
+            for rx in _rx_vectors(num_chunks, vdrives, num_users):
+                sys_ = build_system(num_chunks, num_users, drives, rx=rx)
+                for pattern in TrafficPattern:
+                    for io in ("finite", "infinite"):
+                        if io == "finite":
+                            ref = reference_graph(sys_, pattern, io, include_dnt=True)
+                        else:
+                            ref = _infinite_reference(num_chunks, num_users, rx, pattern)
+                        for dnt, (verts, adj) in ((True, ref), (False, _transmit_part(*ref))):
+                            graph = build_conflict_graph(sys_, pattern, io=io, include_dnt=dnt)
+                            assert (graph.vertices, graph.adjacency) == (verts, adj), (
+                                drives, rx, pattern, io, dnt, _first_difference(graph, verts, adj)
+                            )
+                            checked += 1
+    assert checked > 100
