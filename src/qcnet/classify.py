@@ -76,16 +76,16 @@ def is_quasi_line(graph: ConflictGraph) -> tuple[bool, int | None]:
 
 
 def is_perfect(
-    graph: ConflictGraph, cap: int = PERFECT_CAP
+    graph: ConflictGraph,
 ) -> tuple[bool | None, tuple[str, tuple[int, ...]] | None]:
-    """Odd-hole / odd-antihole search; exact up to ``cap`` vertices.
+    """Odd-hole / odd-antihole search; exact up to ``PERFECT_CAP`` vertices.
 
     Returns (True, None), (False, (kind, cycle)), or (None, None) when the
     graph exceeds the cap and the verdict is unknown.
     """
     import networkx as nx  # deferred: keeps import cost off `import qcnet`
 
-    if graph.num_vertices > cap:
+    if graph.num_vertices > PERFECT_CAP:
         return None, None
     for kind, g in (("odd_hole", graph.to_networkx()), ("odd_antihole", graph.to_networkx(complement=True))):
         for cycle in nx.chordless_cycles(g):
@@ -163,12 +163,12 @@ class ClassificationReport:
         return "\n".join(lines) + "\n"
 
 
-def classify(graph: ConflictGraph, perfect_cap: int = PERFECT_CAP) -> ClassificationReport:
+def classify(graph: ConflictGraph) -> ClassificationReport:
     """Full structural report; the net search runs only on graphs built
     with do-not-transmit companions."""
     claw_ok, claw_wit = is_claw_free(graph)
     ql_ok, ql_wit = is_quasi_line(graph)
-    perf, perf_wit = is_perfect(graph, cap=perfect_cap)
+    perf, perf_wit = is_perfect(graph)
     net_wit = find_net(graph) if graph.has_dnt else None
     return ClassificationReport(
         claw_free=claw_ok,

@@ -45,15 +45,13 @@ class Generation:
 class CodedLayout:
     """Coded chunk placement: per (physical drive, generation) counts.
 
-    Coded chunk ids are synthesized as ``<gen>.<n>`` so they are unique
-    system-wide; an explicit id assignment may be supplied instead via
-    ``explicit_ids``, in which case uniqueness is validated.
+    Coded chunk ids are synthesized as ``<gen>.<n>`` (see ``DofTracker``),
+    so they are unique system-wide.
     """
 
     generations: dict[str, Generation]
     counts: dict[tuple[int, str], int]
     coefficient_cycling: bool = False
-    explicit_ids: dict[tuple[int, str], tuple[str, ...]] | None = None
 
     def validate(self, sys: StorageSystem) -> None:
         seen_member: dict[int, str] = {}
@@ -94,44 +92,21 @@ class CodedLayout:
                         f"other replicas are coded in {gen_id}"
                     )
 
-        if self.explicit_ids is not None:
-            flat: list[str] = []
-            for key, ids in self.explicit_ids.items():
-                if key not in self.counts or len(ids) != self.counts[key]:
-                    raise SystemBuildError(f"explicit ids for {key} disagree with counts")
-                flat.extend(ids)
-            if len(flat) != len(set(flat)):
-                raise SystemBuildError("replicated coded chunk id across drives")
-
     def alpha(self, gen_id: str) -> int:
         """Total coded chunks produced for a generation across all drives."""
         return sum(c for (_n, g), c in self.counts.items() if g == gen_id)
 
-    def chunk_ids(self, n: int, gen_id: str) -> tuple[str, ...]:
-        """Unique coded chunk ids stored by physical drive n for a generation."""
-        if self.explicit_ids is not None and (n, gen_id) in self.explicit_ids:
-            return self.explicit_ids[(n, gen_id)]
-        count = self.counts.get((n, gen_id), 0)
-        start = sum(c for (m, g), c in sorted(self.counts.items()) if g == gen_id and m < n)
-        return tuple(f"{gen_id}.{start + idx + 1}" for idx in range(count))
 
-    def generation_of(self, chunk: int) -> Generation | None:
-        for gen in self.generations.values():
-            if chunk in gen.members:
-                return gen
-        return None
-
-
-def striped_layout(sys: StorageSystem, gen_id: str = "g1") -> CodedLayout:
+def striped_layout(sys: StorageSystem) -> CodedLayout:
     """One generation spanning all chunks with s = T, one coded chunk per drive.
 
     The layout used for the numerical studies; every drive's uncoded
     contents are replaced by coded content.
     """
     members = frozenset(range(1, sys.num_chunks + 1))
-    gen = Generation(gen_id=gen_id, members=members, s=sys.num_chunks)
-    counts = {(n, gen_id): 1 for n in range(1, len(sys.drives) + 1)}
-    return CodedLayout(generations={gen_id: gen}, counts=counts)
+    gen = Generation(gen_id="g1", members=members, s=sys.num_chunks)
+    counts = {(n, "g1"): 1 for n in range(1, len(sys.drives) + 1)}
+    return CodedLayout(generations={"g1": gen}, counts=counts)
 
 
 def coded_transform(
@@ -205,12 +180,17 @@ def check_achievable_any(
 
 
 class DofTracker:
-    """Per (user, generation) receipt sets for exact coded bookkeeping.
+    """Per (user, generation) receipt sets for exact coded bookkeeping, and
+    the rule for which coded chunk a read carries.
 
     A user accumulates distinct coded chunk ids; at s receipts the
     generation is decoded and every chunk of it stops being innovative for
     that user.  Replica receipts before decoding are rejected.  With
     coefficient cycling every undecoded delivery counts as a fresh id.
+
+    Coded chunk ids are ``<gen>.<n>``, numbered 1..alpha per generation in
+    physical drive order; the (physical drive, generation) -> ids table is
+    built once here, and ``read`` serves one read from it.
     """
 
     def __init__(self, sys: StorageSystem, layout: CodedLayout):
@@ -218,6 +198,14 @@ class DofTracker:
         self.layout = layout
         self.received: dict[tuple[int, str], set[str]] = {}
         self._cycle_serial = 0
+        self._generation_of = {i: g for g in layout.generations.values() for i in g.members}
+        # key (None, gen) holds every id of the generation, in drive order
+        self._ids: dict[tuple[int | None, str], tuple[str, ...]] = {}
+        for (n, gen_id), count in sorted(layout.counts.items()):
+            issued = self._ids.get((None, gen_id), ())
+            ids = tuple(f"{gen_id}.{len(issued) + c}" for c in range(1, count + 1))
+            self._ids[(n, gen_id)] = ids
+            self._ids[(None, gen_id)] = issued + ids
 
     def received_ids(self, user: int, gen_id: str) -> frozenset[str]:
         return frozenset(self.received.get((user, gen_id), ()))
@@ -246,6 +234,37 @@ class DofTracker:
         self.received.setdefault((user, gen_id), set()).add(chunk_id)
         return True
 
+    def read(
+        self, chunk: int, drive: int | None, users: tuple[int, ...], pending: set[int]
+    ) -> tuple[list[int], int]:
+        """Serve one read of ``chunk`` by virtual drive ``drive`` to ``users``.
+
+        ``pending`` holds the users with a queued request for the chunk;
+        returns (the pending users served, the pending users who rejected
+        the read).  An uncoded chunk serves every pending user.  A coded
+        read carries the stored coded id the most pending users would
+        accept, the first on ties; ``drive=None`` (infinite I/O) may carry
+        any coded id of the generation, in drive order.  Every user who
+        accepts the read records it, pending or not.
+        """
+        gen = self._generation_of.get(chunk)
+        if gen is None:
+            return [j for j in users if j in pending], 0
+        n = None if drive is None else self.sys.physical_index[drive - 1]
+        ids = self._ids.get((n, gen.gen_id))
+        if not ids:
+            return [], 0
+        chosen = max(ids, key=lambda cid: sum(self.would_accept(j, gen.gen_id, cid) for j in pending))
+        served: list[int] = []
+        rejected = 0
+        for j in users:
+            if self.record(j, gen.gen_id, chosen):
+                if j in pending:
+                    served.append(j)
+            elif j in pending:
+                rejected += 1
+        return served, rejected
+
     def innovative_pairs(self, user: int) -> set[tuple[int, int]]:
         """(chunk, virtual drive) pairs currently innovative for ``user``."""
         out: set[tuple[int, int]] = set()
@@ -254,14 +273,14 @@ class DofTracker:
             for _unit in range(drive.units):
                 k += 1
                 for i in sorted(drive.stores):
-                    gen = self.layout.generation_of(i)
+                    gen = self._generation_of.get(i)
                     if gen is None:
                         out.add((i, k))  # plain uncoded chunk
                         continue
                     if self.decoded(user, gen.gen_id):
                         continue
                     held = self.received.get((user, gen.gen_id), set())
-                    ids = self.layout.chunk_ids(n, gen.gen_id)
+                    ids = self._ids.get((n, gen.gen_id), ())
                     if self.layout.coefficient_cycling and ids:
                         out.add((i, k))
                     elif any(c not in held for c in ids):
@@ -284,7 +303,7 @@ def update_knowledge(
     virtual drive) pairs innovative for the user afterwards.
     """
     user, chunk, chunk_id = delivery
-    gen = tracker.layout.generation_of(chunk)
+    gen = tracker._generation_of.get(chunk)
     if gen is None:
         raise SystemBuildError(f"chunk f{chunk} belongs to no generation")
     if mode_flag == "upper_bound":

@@ -137,7 +137,6 @@ def build_conflict_graph(
     pattern: TrafficPattern,
     io: str = "finite",
     include_dnt: bool = False,
-    vertex_cap: int = VERTEX_CAP,
 ) -> ConflictGraph:
     """Build the conflict graph for a traffic pattern and I/O regime.
 
@@ -158,8 +157,8 @@ def build_conflict_graph(
     masks = sorted(frozenset().union(*admitted.values()))
     reads = sum(d.units * len(d.stores) for d in sys.drives) if io == "finite" else sys.num_chunks
     count = reads * len(masks) * (2 if include_dnt else 1)
-    if count > vertex_cap:  # before any vertex or virtual drive is built
-        raise SizeGuardError(f"{count} vertices exceed the cap {vertex_cap}")
+    if count > VERTEX_CAP:  # before any vertex or virtual drive is built
+        raise SizeGuardError(f"{count} vertices exceed the cap {VERTEX_CAP}")
 
     if io == "finite":
         verts = [Vertex(i, k, m) for (i, k) in sys.stored_pairs for m in masks]

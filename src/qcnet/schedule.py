@@ -130,7 +130,7 @@ def decompose_rate(region: RateRegion, rho) -> RateDecomposition:
     return RateDecomposition(region=region, phis=tuple(phis), achieved=achieved)
 
 
-def build_frame_schedule(decomp: RateDecomposition, frame_cap: int = FRAME_CAP) -> FrameSchedule:
+def build_frame_schedule(decomp: RateDecomposition) -> FrameSchedule:
     """Smallest frame realizing the decomposition with integer slot counts.
 
     F is the lcm of the denominators of every weight and every achieved
@@ -141,8 +141,8 @@ def build_frame_schedule(decomp: RateDecomposition, frame_cap: int = FRAME_CAP) 
     support = [(ell, phi) for ell, phi in enumerate(decomp.phis, start=1) if phi]
     denoms = [phi.denominator for _ell, phi in support] + [r.denominator for r in decomp.achieved]
     frame = lcm(*denoms) if denoms else 1
-    if frame > frame_cap:
-        raise ScheduleError(f"frame size {frame} exceeds the cap {frame_cap}")
+    if frame > FRAME_CAP:
+        raise ScheduleError(f"frame size {frame} exceeds the cap {FRAME_CAP}")
     slots: list[int] = []
     for ell, phi in support:
         slots.extend([ell] * int(phi * frame))

@@ -73,66 +73,24 @@ class StabilityVerdict:
         return f"{self.verdict}\t{self.slope:.6f}\t{self.max_backlog}"
 
 
-def _serve_exact_coded(
-    graph_vertices,
-    members,
-    queues: np.ndarray,
-    flow_index: dict[tuple[int, int], int],
-    sys: StorageSystem,
-    layout: CodedLayout,
-    tracker: DofTracker,
-) -> tuple[np.ndarray, int]:
-    """Serve one stable set under exact degrees-of-freedom accounting.
-
-    Each vertex reads one stored coded chunk; users accept it only while
-    it is innovative for them.  The read picks the candidate chunk id
-    accepted by the most users with pending requests (first on ties).
-    """
-    served = np.zeros_like(queues)
-    rejected = 0
-    for v_idx in members:
-        v = graph_vertices[v_idx]
-        users = mask_users(v.users)
-        gen = layout.generation_of(v.chunk)
-        if gen is None:
-            for j in users:
-                f = flow_index[(v.chunk, j)]
-                if queues[f] - served[f] > 0:
-                    served[f] += 1
-            continue
-        n = sys.physical_index[v.drive - 1] if v.drive is not None else 1
-        candidates = layout.chunk_ids(n, gen.gen_id)
-        if not candidates:
-            continue
-
-        def acceptance(cid: str) -> int:
-            return sum(
-                1
-                for j in users
-                if tracker.would_accept(j, gen.gen_id, cid)
-                and queues[flow_index[(v.chunk, j)]] - served[flow_index[(v.chunk, j)]] > 0
-            )
-
-        chosen = max(candidates, key=acceptance)
-        for j in users:
-            f = flow_index[(v.chunk, j)]
-            pending = queues[f] - served[f] > 0
-            if tracker.would_accept(j, gen.gen_id, chosen):
-                tracker.record(j, gen.gen_id, chosen)
-                if pending:
-                    served[f] += 1
-            elif pending:
-                rejected += 1
-    return served, rejected
-
-
 def simulate(
     policy: FrameSchedule | MaxWeightPolicy,
     arrivals: ArrivalProcess,
     horizon: int,
     exact_coding: tuple[StorageSystem, CodedLayout] | None = None,
 ) -> SimulationTrace:
-    """Run the slotted simulation; deterministic given the arrival seed."""
+    """Run the slotted simulation; deterministic given the arrival seed.
+
+    Without ``exact_coding`` an active stable set serves up to its
+    generator's count on every flow; on a coded system that is the upper
+    bound, every delivery innovative.  With ``exact_coding=(coded system,
+    layout)`` a ``DofTracker`` serves each read: it carries one stored
+    coded chunk, a user accepts it only while it is innovative, and each
+    pending user who rejects it adds to ``rejected_deliveries``.  In the
+    finite I/O regime a read by virtual drive k carries a coded chunk
+    stored on k's physical drive; in the infinite regime it may carry any
+    coded chunk of the generation.
+    """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     region = policy.region
@@ -150,10 +108,9 @@ def simulate(
     frame_slots = policy.slots if isinstance(policy, FrameSchedule) else None
     frame_size = policy.frame_size if isinstance(policy, FrameSchedule) else 0
 
-    tracker = None
+    tracker = None if exact_coding is None else DofTracker(*exact_coding)
+    vertices = region.family.graph.vertices
     flow_index = {flow: f for f, flow in enumerate(region.flows)}
-    if exact_coding is not None:
-        tracker = DofTracker(exact_coding[0], exact_coding[1])
 
     for t in range(horizon):
         queues += arrival_matrix[t]
@@ -165,16 +122,14 @@ def simulate(
             if tracker is None:
                 served = np.minimum(queues, gens[ell - 1])
             else:
-                served, r = _serve_exact_coded(
-                    region.family.graph.vertices,
-                    region.family.sets[ell - 1],
-                    queues,
-                    flow_index,
-                    exact_coding[0],
-                    exact_coding[1],
-                    tracker,
-                )
-                rejected += r
+                served = np.zeros_like(queues)
+                for v in (vertices[i] for i in region.family.sets[ell - 1]):
+                    flows = {j: flow_index[(v.chunk, j)] for j in mask_users(v.users)}
+                    pending = {j for j, f in flows.items() if queues[f] > served[f]}
+                    got, r = tracker.read(v.chunk, v.drive, tuple(flows), pending)
+                    for j in got:
+                        served[flows[j]] += 1
+                    rejected += r
             queues -= served
             served_total += served
         backlog[t] = queues.sum()

@@ -38,9 +38,7 @@ class StableSetFamily:
         return tuple(1 if v in member else 0 for v in range(self.graph.num_vertices))
 
 
-def enumerate_stable_sets(
-    graph: ConflictGraph, family_guard: int = STABLE_SET_FAMILY_GUARD
-) -> StableSetFamily:
+def enumerate_stable_sets(graph: ConflictGraph) -> StableSetFamily:
     """Exhaustively enumerate every nonempty independent set.
 
     Depth-first over vertex-indexed bitmasks; guarded both on vertex count
@@ -57,6 +55,7 @@ def enumerate_stable_sets(
                 mask |= 1 << w
         nonadj_above.append(mask)
 
+    family_guard = STABLE_SET_FAMILY_GUARD
     out: list[tuple[int, ...]] = []
     stack: list[tuple[tuple[int, ...], int]] = [((), (1 << n) - 1)]
     while stack:

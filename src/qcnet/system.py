@@ -207,7 +207,6 @@ def build_system(
     num_users: int,
     drives: list[tuple[int, set[int]]],
     rx: tuple[int, ...] | None = None,
-    always_innovative: bool = False,
 ) -> StorageSystem:
     """Build and validate a StorageSystem.
 
@@ -264,7 +263,6 @@ def build_system(
         num_users=num_users,
         drives=tuple(built),
         rx=tuple(rx),
-        always_innovative=always_innovative,
     )
 
 
@@ -384,14 +382,17 @@ def _parse_int(raw: str, where: str) -> int:
 
 
 def _parse_chunk_list(raw: str, where: str) -> list[int]:
-    chunks = []
+    chunks: dict[int, None] = {}  # insertion-ordered set
     for tok in raw.split():
         if not tok.startswith("f") or not tok[1:].isdecimal():
             raise SystemBuildError(f"{where}: expected chunk tokens like f1, got {tok!r}")
-        chunks.append(_parse_int(tok[1:], where))
+        i = _parse_int(tok[1:], where)
+        if i in chunks:
+            raise SystemBuildError(f"{where}: repeated chunk f{i}")
+        chunks[i] = None
     if not chunks:
         raise SystemBuildError(f"{where}: empty chunk list")
-    return chunks
+    return list(chunks)
 
 
 def parse_system_description(text: str) -> SystemDescription:

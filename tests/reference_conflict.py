@@ -62,7 +62,6 @@ def _surrogate_infinite(sys: StorageSystem) -> StorageSystem:
         num_users=sys.num_users,
         drives=[(1, {i}) for i in range(1, sys.num_chunks + 1)],
         rx=sys.rx,
-        always_innovative=sys.always_innovative,
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ from qcnet import (
     is_quasi_line,
 )
 from qcnet.conflict import ConflictGraph, Vertex
+
+classify_module = importlib.import_module("qcnet.classify")  # the package exports a function of that name
 
 
 def graph_from_edges(n: int, edges) -> ConflictGraph:
@@ -104,9 +107,10 @@ def test_single_unicast_clique_is_perfect(ex6_system):
     assert g.num_edges == g.num_vertices * (g.num_vertices - 1) // 2
 
 
-def test_perfect_cap_reports_unknown():
+def test_perfect_cap_reports_unknown(monkeypatch):
     g = graph_from_edges(6, [(0, 1)])
-    verdict, witness = is_perfect(g, cap=5)
+    monkeypatch.setattr(classify_module, "PERFECT_CAP", 5)
+    verdict, witness = is_perfect(g)
     assert verdict is None and witness is None
 
 

@@ -60,13 +60,6 @@ def test_mixed_replica_rejected():
         coded_transform(sys_, layout)
 
 
-def test_duplicate_coded_ids_rejected(ex6_system):
-    layout = two_chunk_layout()
-    layout.explicit_ids = {(1, "g1"): ("c1",), (2, "g1"): ("c1",)}
-    with pytest.raises(SystemBuildError, match="replicated coded chunk id"):
-        layout.validate(ex6_system)
-
-
 def test_chunk_in_two_generations_rejected(ex6_system):
     gens = {
         "g1": Generation(gen_id="g1", members=frozenset({1, 2}), s=2),

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+import qcnet.conflict as conflict
 from qcnet import (
     SizeGuardError,
     TrafficPattern,
@@ -82,10 +83,11 @@ def test_infinite_io_same_chunk_conflicts():
         assert g.vertices[a].chunk == g.vertices[b].chunk
 
 
-def test_vertex_cap():
+def test_vertex_cap(monkeypatch):
     sys_ = build_system(2, 2, [(1, {1}), (1, {2})], rx=(1, 1))
+    monkeypatch.setattr(conflict, "VERTEX_CAP", 5)
     with pytest.raises(SizeGuardError):
-        build_conflict_graph(sys_, TrafficPattern.MULTICAST, vertex_cap=5)
+        build_conflict_graph(sys_, TrafficPattern.MULTICAST)
 
 
 def test_vertex_cap_trips_before_any_allocation():
@@ -99,12 +101,14 @@ def test_vertex_cap_trips_before_any_allocation():
 
 @pytest.mark.parametrize("io", ["finite", "infinite"])
 @pytest.mark.parametrize("include_dnt", [False, True])
-def test_vertex_cap_counts_exactly(io, include_dnt):
+def test_vertex_cap_counts_exactly(io, include_dnt, monkeypatch):
     sys_ = build_system(3, 2, [(2, {1, 2}), (1, {3}), (1, {1, 3})], rx=(1, 1))
     n = build_conflict_graph(sys_, TrafficPattern.MULTICAST, io=io, include_dnt=include_dnt).num_vertices
-    build_conflict_graph(sys_, TrafficPattern.MULTICAST, io=io, include_dnt=include_dnt, vertex_cap=n)
+    monkeypatch.setattr(conflict, "VERTEX_CAP", n)
+    build_conflict_graph(sys_, TrafficPattern.MULTICAST, io=io, include_dnt=include_dnt)
+    monkeypatch.setattr(conflict, "VERTEX_CAP", n - 1)
     with pytest.raises(SizeGuardError, match=f"{n} vertices"):
-        build_conflict_graph(sys_, TrafficPattern.MULTICAST, io=io, include_dnt=include_dnt, vertex_cap=n - 1)
+        build_conflict_graph(sys_, TrafficPattern.MULTICAST, io=io, include_dnt=include_dnt)
 
 
 def test_composite_vertex_union(ex6_system):

@@ -15,6 +15,7 @@ from qcnet import (
     exact_lp_feasible,
     rate_region,
 )
+import qcnet.schedule as schedule
 from qcnet.schedule import IDLE, MaxWeightPolicy, ScheduleError
 
 
@@ -107,10 +108,11 @@ def test_frame_lcm_of_mixed_denominators(ex1_unicast_region):
     assert frame.slots.count(IDLE) == 1
 
 
-def test_frame_cap(ex1_unicast_region):
+def test_frame_cap(ex1_unicast_region, monkeypatch):
     decomp = decompose_rate(ex1_unicast_region, (Fraction(1, 999931), 0))
+    monkeypatch.setattr(schedule, "FRAME_CAP", 1000)
     with pytest.raises(ScheduleError, match="cap"):
-        build_frame_schedule(decomp, frame_cap=1000)
+        build_frame_schedule(decomp)
 
 
 def test_frame_slot_counts_match_weights(ex1_multicast_region):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,10 @@ from qcnet import (
     stability_verdict,
     striped_layout,
 )
-from qcnet.coding import coded_transform
-from qcnet.schedule import MaxWeightPolicy
+from qcnet.coding import CodedLayout, Generation, coded_transform
+from qcnet.schedule import IDLE, FrameSchedule, MaxWeightPolicy
 from qcnet.sim import StabilityVerdict
+from reference_coded import reference_simulate
 
 
 def test_arrivals_reject_rates_above_one():
@@ -113,3 +115,72 @@ def test_trace_export_format(ex1_multicast_region):
     assert trace.export_text() == "0\t0\n1\t0\n2\t0\n"
     verdict = StabilityVerdict(stable=True, slope=0.0, max_backlog=0)
     assert verdict.summary_line() == "stable\t0.000000\t0"
+
+
+def random_coded_case(rng: random.Random):
+    """A random finite-regime coded layout with a policy and arrivals:
+    T <= 4 chunks, 1-2 users, 1-3 drives of 1-2 units, 1-3 generations.
+    Layouts are drawn again until the conflict graph has at most 24
+    vertices, so its stable sets stay within the enumeration guards."""
+    while True:
+        num_chunks, num_users = rng.randint(2, 4), rng.randint(1, 2)
+        drives = [
+            (rng.randint(1, 2), set(rng.sample(range(1, num_chunks + 1), rng.randint(1, num_chunks))))
+            for _ in range(rng.randint(1, 3))
+        ]
+        drives[0][1].update(set(range(1, num_chunks + 1)) - set().union(*(s for _u, s in drives)))
+        rx = rng.choice([1, max(num_chunks, sum(u for u, _s in drives))])
+        sys_ = build_system(num_chunks, num_users, drives, rx=(rx,) * num_users)
+
+        coded_chunks = rng.sample(range(1, num_chunks + 1), rng.randint(1, num_chunks))
+        cuts = sorted(rng.sample(range(1, len(coded_chunks)), min(rng.randint(0, 2), len(coded_chunks) - 1)))
+        bounds = [0, *cuts, len(coded_chunks)]
+        generations, counts = {}, {}
+        for g, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
+            gen_id, members = f"g{g}", set(coded_chunks[lo:hi])
+            for n, (_units, stores) in enumerate(drives, start=1):
+                if stores & members or rng.random() < 0.3:
+                    counts[(n, gen_id)] = rng.randint(1, 3)
+            alpha = sum(c for (_n, h), c in counts.items() if h == gen_id)
+            generations[gen_id] = Generation(gen_id, frozenset(members), rng.randint(1, min(alpha, 3)))
+        layout = CodedLayout(generations, counts, coefficient_cycling=rng.random() < 0.5)
+        coded, _ = coded_transform(sys_, layout)
+
+        pattern = rng.choice([TrafficPattern.MULTICAST, TrafficPattern.MULTIPLE_UNICAST, TrafficPattern.BROADCAST])
+        graph = build_conflict_graph(coded, pattern)
+        if graph.num_vertices <= 24:
+            break
+    region = rate_region(graph)
+    m = len(region.generators)
+    if rng.random() < 0.5:
+        policy = MaxWeightPolicy(region)
+    else:
+        order = rng.sample(range(1, m + 1), m)
+        policy = FrameSchedule(region, m + 1, tuple(order) + (IDLE,))
+    rates = tuple(Fraction(rng.randint(0, 6), 8) for _ in region.flows)
+    return policy, ArrivalProcess(rates=rates, seed=rng.randrange(2**32)), (coded, layout)
+
+
+def test_exact_coded_trace_matches_serving_loop_reference():
+    rng = random.Random(2024)
+    for _ in range(64):
+        policy, arrivals, exact = random_coded_case(rng)
+        got = simulate(policy, arrivals, 400, exact_coding=exact)
+        want = reference_simulate(policy, arrivals, 400, exact)
+        assert np.array_equal(got.backlog, want.backlog)
+        assert np.array_equal(got.served, want.served)
+        assert np.array_equal(got.final_queues, want.final_queues)
+        assert got.rejected_deliveries == want.rejected_deliveries
+
+
+@pytest.mark.parametrize("io", ["finite", "infinite"])
+def test_exact_coded_reads_any_drive_of_the_generation(ex4_system, io):
+    # f1 is coded in a (drive 1) and f2 in b (drive 2); an infinite-regime
+    # read of f2 must carry b's coded chunk, which drive 1 does not hold
+    gens = {g: Generation(g, frozenset({i}), 1) for g, i in (("a", 1), ("b", 2))}
+    layout = CodedLayout(gens, {(1, "a"): 1, (2, "b"): 1})
+    coded, _ = coded_transform(ex4_system, layout)
+    region = rate_region(build_conflict_graph(coded, TrafficPattern.MULTICAST, io=io))
+    arrivals = ArrivalProcess(rates=(Fraction(1, 4), Fraction(1, 4)), seed=3)
+    trace = simulate(MaxWeightPolicy(region), arrivals, 2_000, exact_coding=(coded, layout))
+    assert tuple(trace.served) == (1, 1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import qcnet.stableset as stableset
 from qcnet import (
     SizeGuardError,
     TrafficPattern,
@@ -33,10 +34,11 @@ def test_edgeless_counts():
     assert fam.size == 2**10 - 1
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     g = graph_from_edges(20, [])
+    monkeypatch.setattr(stableset, "STABLE_SET_FAMILY_GUARD", 1000)
     with pytest.raises(SizeGuardError):
-        enumerate_stable_sets(g, family_guard=1000)
+        enumerate_stable_sets(g)
 
 
 def test_canonical_order_matches_worked_coded_example(ex4_system):

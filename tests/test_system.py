@@ -242,6 +242,8 @@ def test_parse_failure_names_the_line(good, bad):
         ("stores = f1 f2", "stores = f1 f2\nunits = 2", "units = 2"),
         ("chunks = 2", "chunks = 2\nusers = 3", "users = 3"),
         ("drive 1 stores 2 of g", "drive 1 stores 2 of g\ndrive 1 stores 1 of g", "drive 1 stores 1 of g"),
+        ("stores = f1 f2", "stores = f1 f1", "stores = f1 f1"),
+        ("generation g = f1 f2 ; s = 2", "generation g = f1 f1 f2 ; s = 2", "generation g = f1 f1 f2 ; s = 2"),
     ],
 )
 def test_parse_rejects_repeats_and_bad_flags(old, new, bad_line):
