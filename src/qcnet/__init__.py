@@ -17,9 +17,8 @@ from .system import (
     validate_mode,
 )
 from .conflict import ConflictGraph, Vertex, build_conflict_graph, mask_users, users_mask
-from .classify import (
+from .classify import (  # the ``classify`` function stays in its module, which it would hide
     ClassificationReport,
-    classify,
     find_net,
     is_claw_free,
     is_perfect,

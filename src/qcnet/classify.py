@@ -1,18 +1,19 @@
 """Structural classification of conflict graphs.
 
-Claw-freeness and quasi-line membership are decided by exhaustive
-neighborhood checks; perfection by searching chordless odd cycles of
-length at least five in the graph and its complement (none exist in
-either exactly for perfect graphs).  Every verdict carries a witness that
-can be re-checked against the graph.
+Every search reads the adjacency bitmasks ``ConflictGraph.masks`` and
+scans vertices in ascending order, returning the first witness in that
+order.  Claw-freeness and quasi-line membership are decided by exhaustive
+neighbourhood checks; perfection by growing induced paths into chordless
+odd cycles of length at least five in the graph and its complement (none
+exist in either exactly for perfect graphs).  Every verdict carries a
+witness that can be re-checked against the graph.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .conflict import ConflictGraph
+from .conflict import ConflictGraph, mask_users
 
 __all__ = [
     "ClassificationReport",
@@ -27,17 +28,22 @@ __all__ = [
 PERFECT_CAP = 24
 
 
+def _above(v: int) -> int:
+    """Mask of every vertex index greater than ``v``."""
+    return ~((2 << v) - 1)
+
+
 def is_claw_free(graph: ConflictGraph) -> tuple[bool, tuple[int, int, int, int] | None]:
-    """Exhaustive induced-K13 search; witness is (center, leaf, leaf, leaf)."""
-    for center in range(graph.num_vertices):
-        nbrs = sorted(graph.adjacency[center])
-        for a, b, c in itertools.combinations(nbrs, 3):
-            if (
-                not graph.are_adjacent(a, b)
-                and not graph.are_adjacent(a, c)
-                and not graph.are_adjacent(b, c)
-            ):
-                return False, (center, a, b, c)
+    """Exhaustive induced-K13 search; witness is (center, leaf, leaf, leaf),
+    the first by center and then by leaves in ascending order."""
+    masks = graph.masks
+    for center, nbrs in enumerate(masks):
+        for a in mask_users(nbrs, 0):
+            after_a = nbrs & ~masks[a] & _above(a)
+            for b in mask_users(after_a, 0):
+                after_b = after_a & ~masks[b] & _above(b)
+                if after_b:
+                    return False, (center, a, b, mask_users(after_b, 0)[0])
     return True, None
 
 
@@ -45,34 +51,55 @@ def is_quasi_line(graph: ConflictGraph) -> tuple[bool, int | None]:
     """Check each vertex's neighborhood for a two-clique cover.
 
     The neighborhood of v splits into two cliques exactly when the
-    complement of the subgraph it induces is bipartite; the witness is the
-    first vertex whose neighborhood fails.
+    complement of the subgraph it induces is bipartite, that is, when a
+    breadth-first search of that complement finds no edge inside one of
+    its layers.  The witness is the first vertex whose neighborhood fails.
     """
-    for v in range(graph.num_vertices):
-        nbrs = sorted(graph.adjacency[v])
-        color: dict[int, int] = {}
-        ok = True
-        for start in nbrs:
-            if start in color:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue and ok:
-                u = queue.pop()
-                for w in nbrs:
-                    if w == u or graph.are_adjacent(u, w):
-                        continue  # complement edges only
-                    if w not in color:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if not ok:
-            return False, v
+    masks = graph.masks
+    for v, nbrs in enumerate(masks):
+        unseen = nbrs
+        while unseen:
+            layer = unseen & -unseen
+            while layer:
+                unseen &= ~layer
+                reach = 0
+                for u in mask_users(layer, 0):
+                    reach |= nbrs & ~masks[u] & ~(1 << u)  # complement edges only
+                if reach & layer:
+                    return False, v
+                layer = reach & unseen
     return True, None
+
+
+def _odd_hole(masks) -> tuple[int, ...] | None:
+    """First chordless odd cycle of length at least five, or None.
+
+    Start vertices s are tried in ascending order, each with the cycles on
+    vertices above it: an induced path s, v1, ... grows one neighbour at a
+    time, in ascending order, and closes at a neighbour of s above v1.
+    """
+
+    def grow(path, inner, ends):
+        # ``inner``: vertices that may extend the path; ``ends``: those that may close it at s
+        last = path[-1]
+        if len(path) % 2 == 0 and len(path) >= 4 and masks[last] & ends:
+            return path + (mask_users(masks[last] & ends, 0)[0],)
+        seen = masks[last] | 1 << last
+        ends &= ~seen
+        if not ends:
+            return None
+        for w in mask_users(masks[last] & inner, 0):
+            cycle = grow(path + (w,), inner & ~seen, ends)
+            if cycle:
+                return cycle
+        return None
+
+    for s, ns in enumerate(masks):
+        for v1 in mask_users(ns & _above(s), 0):
+            cycle = grow((s, v1), _above(s) & ~ns, ns & _above(v1))
+            if cycle:
+                return cycle
+    return None
 
 
 def is_perfect(
@@ -81,16 +108,19 @@ def is_perfect(
     """Odd-hole / odd-antihole search; exact up to ``PERFECT_CAP`` vertices.
 
     Returns (True, None), (False, (kind, cycle)), or (None, None) when the
-    graph exceeds the cap and the verdict is unknown.
+    graph exceeds the cap and the verdict is unknown.  The graph is
+    searched before its complement.  The witness cycle starts at its
+    lowest vertex and runs toward the smaller of that vertex's two cycle
+    neighbours.
     """
-    import networkx as nx  # deferred: keeps import cost off `import qcnet`
-
-    if graph.num_vertices > PERFECT_CAP:
+    n = graph.num_vertices
+    if n > PERFECT_CAP:
         return None, None
-    for kind, g in (("odd_hole", graph.to_networkx()), ("odd_antihole", graph.to_networkx(complement=True))):
-        for cycle in nx.chordless_cycles(g):
-            if len(cycle) >= 5 and len(cycle) % 2 == 1:
-                return False, (kind, tuple(cycle))
+    complement = tuple(((1 << n) - 1) & ~m & ~(1 << v) for v, m in enumerate(graph.masks))
+    for kind, masks in (("odd_hole", graph.masks), ("odd_antihole", complement)):
+        cycle = _odd_hole(masks)
+        if cycle:
+            return False, (kind, cycle)
     return True, None
 
 
@@ -98,30 +128,18 @@ def find_net(graph: ConflictGraph) -> tuple[int, ...] | None:
     """First induced net in canonical order: a triangle (a, b, c) with
     pendant vertices (pa, pb, pc), each adjacent to its triangle vertex
     only.  Returns the 6 vertex indices or None."""
-    n = graph.num_vertices
-    for a, b, c in itertools.combinations(range(n), 3):
-        if not (
-            graph.are_adjacent(a, b) and graph.are_adjacent(a, c) and graph.are_adjacent(b, c)
-        ):
-            continue
-        triangle = (a, b, c)
-
-        def pendants(x: int) -> list[int]:
-            others = [t for t in triangle if t != x]
-            return [
-                p
-                for p in sorted(graph.adjacency[x])
-                if p not in triangle and not any(graph.are_adjacent(p, o) for o in others)
-            ]
-
-        for pa in pendants(a):
-            for pb in pendants(b):
-                if pb == pa or graph.are_adjacent(pa, pb):
-                    continue
-                for pc in pendants(c):
-                    if pc in (pa, pb) or graph.are_adjacent(pa, pc) or graph.are_adjacent(pb, pc):
-                        continue
-                    return (a, b, c, pa, pb, pc)
+    masks = graph.masks
+    for a, na in enumerate(masks):
+        for b in mask_users(na & _above(a), 0):
+            nb = masks[b]
+            for c in mask_users(na & nb & _above(b), 0):
+                nc = masks[c]
+                triangle = 1 << a | 1 << b | 1 << c
+                for pa in mask_users(na & ~nb & ~nc & ~triangle, 0):
+                    for pb in mask_users(nb & ~na & ~nc & ~triangle & ~masks[pa], 0):
+                        pcs = nc & ~na & ~nb & ~triangle & ~masks[pa] & ~masks[pb]
+                        if pcs:
+                            return (a, b, c, pa, pb, mask_users(pcs, 0)[0])
     return None
 
 

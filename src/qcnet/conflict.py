@@ -11,10 +11,18 @@ get in a slot: the virtual-drive count, or T in the infinite regime.
 Otherwise they can outnumber the modes: ``build_system(2, 3, [(1, {1, 2}),
 (1, {1}), (1, {2})], rx=(2, 2, 2))`` under multicast has 959 stable sets
 and 621 valid modes.
+
+The graph stores one int bitmask per vertex, bit b set when the vertex
+conflicts with vertex b; every graph algorithm reads these masks.  The
+build never visits a vertex pair: the first rule depends only on the read
+hyperedge and the other two only on the two user masks, so it tabulates
+one vertex bitmask per hyperedge and one per user mask and ORs the two
+for each vertex.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -32,14 +40,15 @@ def users_mask(users) -> int:
     return mask
 
 
-def mask_users(mask: int) -> tuple[int, ...]:
+def mask_users(mask: int, first: int = 1) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask`` in ascending order, the lowest
+    bit counted as ``first``: user numbers by default, vertex indices with
+    ``first=0``."""
     out = []
-    j = 1
     while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1 + first)
+        mask ^= low
     return tuple(out)
 
 
@@ -72,10 +81,11 @@ class Vertex:
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Vertices in canonical order plus an index-based adjacency structure."""
+    """Vertices in canonical order and one adjacency bitmask per vertex:
+    bit b of ``masks[a]`` is set when vertices a and b conflict."""
 
     vertices: tuple[Vertex, ...]
-    adjacency: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     pattern: TrafficPattern
     io_regime: str
     system_hash: str
@@ -84,15 +94,20 @@ class ConflictGraph:
     def num_vertices(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Neighbour index sets, read from the masks."""
+        return tuple(frozenset(mask_users(m, 0)) for m in self.masks)
+
     def edges(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in range(self.num_vertices) for b in self.adjacency[a] if a < b]
+        return [(a, b) for a, m in enumerate(self.masks) for b in mask_users(m >> (a + 1), a + 1)]
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges())
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def are_adjacent(self, a: int, b: int) -> bool:
-        return b in self.adjacency[a]
+        return bool(self.masks[a] >> b & 1)
 
     def is_independent(self, indices) -> bool:
         idx = list(indices)
@@ -102,18 +117,10 @@ class ConflictGraph:
     def has_dnt(self) -> bool:
         return any(v.dnt for v in self.vertices)
 
-    def to_networkx(self, complement: bool = False):
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_vertices))
-        g.add_edges_from(self.edges())
-        return nx.complement(g) if complement else g
-
     def adjacency_text(self) -> str:
         lines = []
-        for a, v in enumerate(self.vertices):
-            nbrs = " ".join(self.vertices[b].label() for b in sorted(self.adjacency[a]))
+        for v, m in zip(self.vertices, self.masks):
+            nbrs = " ".join(self.vertices[b].label() for b in mask_users(m, 0))
             lines.append(f"{v.label()}: {nbrs}")
         return "\n".join(lines) + "\n"
 
@@ -168,33 +175,38 @@ def build_conflict_graph(
         verts += [replace(v, dnt=True) for v in verts]
     verts.sort(key=Vertex.sort_key)
 
+    transmit = {(v.chunk, v.drive, v.users): a for a, v in enumerate(verts) if not v.dnt}
+    by_hyperedge: dict[int, int] = defaultdict(int)
+    by_users: dict[int, int] = defaultdict(int)
+    for (chunk, drive, users), a in transmit.items():
+        by_hyperedge[drive if io == "finite" else chunk] |= 1 << a
+        by_users[users] |= 1 << a
+
+    # the vertices reaching each user (rule 2) and those each member pattern
+    # admits (rule 3); a vertex has one user mask, so summing by_users is a union
     single_rx = users_mask(j for j, r in enumerate(sys.rx, start=1) if r == 1)
-    pair_masks = [s for member, s in admitted.items() if member is not TrafficPattern.SINGLE_UNICAST]
+    reaching = [sum(vs for users, vs in by_users.items() if users >> j & 1) for j in range(sys.num_users)]
+    jointly = [(s, sum(by_users[m] for m in s)) for member, s in admitted.items() if member is not TrafficPattern.SINGLE_UNICAST]
+    clash = dict.fromkeys(masks, sum(by_users.values()))
+    for users in masks:
+        for s, vs in jointly:
+            if users in s:
+                clash[users] &= ~vs
+        for j in mask_users(users & single_rx, 0):
+            clash[users] |= reaching[j]
 
-    def hyperedge(v: Vertex) -> int:
-        return v.drive if io == "finite" else v.chunk
-
-    def conflict(va: Vertex, vb: Vertex) -> bool:
-        if va.dnt or vb.dnt:
-            # companion is adjacent only to its own transmit vertex
-            return (va.chunk, va.drive, va.users) == (vb.chunk, vb.drive, vb.users)
-        return (
-            hyperedge(va) == hyperedge(vb)
-            or bool(va.users & vb.users & single_rx)
-            or not any(va.users in s and vb.users in s for s in pair_masks)
-        )
-
-    n = len(verts)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if conflict(verts[a], verts[b]):
-                adj[a].add(b)
-                adj[b].add(a)
+    adj = [0] * len(verts)
+    for (chunk, drive, users), a in transmit.items():
+        adj[a] = (by_hyperedge[drive if io == "finite" else chunk] | clash[users]) & ~(1 << a)
+    for a, v in enumerate(verts):
+        if v.dnt:  # a companion is adjacent only to its own transmit vertex
+            t = transmit[(v.chunk, v.drive, v.users)]
+            adj[a] = 1 << t
+            adj[t] |= 1 << a
 
     return ConflictGraph(
         vertices=tuple(verts),
-        adjacency=tuple(frozenset(s) for s in adj),
+        masks=tuple(adj),
         pattern=pattern,
         io_regime=io,
         system_hash=sys.content_hash(),

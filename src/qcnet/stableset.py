@@ -47,17 +47,12 @@ def enumerate_stable_sets(graph: ConflictGraph) -> StableSetFamily:
     n = graph.num_vertices
     if n > STABLE_SET_VERTEX_GUARD:
         raise SizeGuardError(f"{n} vertices exceed the stable-set guard {STABLE_SET_VERTEX_GUARD}")
-    nonadj_above: list[int] = []
-    for v in range(n):
-        mask = 0
-        for w in range(v + 1, n):
-            if not graph.are_adjacent(v, w):
-                mask |= 1 << w
-        nonadj_above.append(mask)
+    full = (1 << n) - 1
+    nonadj_above = [full & ~mask & ~((2 << v) - 1) for v, mask in enumerate(graph.masks)]
 
     family_guard = STABLE_SET_FAMILY_GUARD
     out: list[tuple[int, ...]] = []
-    stack: list[tuple[tuple[int, ...], int]] = [((), (1 << n) - 1)]
+    stack: list[tuple[tuple[int, ...], int]] = [((), full)]
     while stack:
         current, candidates = stack.pop()
         m = candidates

@@ -1,36 +1,39 @@
 from __future__ import annotations
 
-import importlib
+import itertools
+import random
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_classify
 from qcnet import (
     TrafficPattern,
     build_conflict_graph,
     build_system,
-    classify,
     find_net,
     is_claw_free,
     is_perfect,
     is_quasi_line,
 )
+from qcnet.classify import classify
 from qcnet.conflict import ConflictGraph, Vertex
-
-classify_module = importlib.import_module("qcnet.classify")  # the package exports a function of that name
 
 
 def graph_from_edges(n: int, edges) -> ConflictGraph:
-    adj = [set() for _ in range(n)]
+    masks = [0] * n
     for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
     return ConflictGraph(
         vertices=tuple(Vertex(i + 1, 1, 1) for i in range(n)),
-        adjacency=tuple(frozenset(s) for s in adj),
+        masks=tuple(masks),
         pattern=TrafficPattern.MULTICAST,
         io_regime="finite",
         system_hash="synthetic",
@@ -109,7 +112,7 @@ def test_single_unicast_clique_is_perfect(ex6_system):
 
 def test_perfect_cap_reports_unknown(monkeypatch):
     g = graph_from_edges(6, [(0, 1)])
-    monkeypatch.setattr(classify_module, "PERFECT_CAP", 5)
+    monkeypatch.setattr("qcnet.classify.PERFECT_CAP", 5)
     verdict, witness = is_perfect(g)
     assert verdict is None and witness is None
 
@@ -160,12 +163,94 @@ def test_classify_report_consistency(ex6_system):
 
 
 def test_import_leaves_networkx_and_scipy_unloaded():
-    # both are imported where they are used: is_perfect, the exact hull
+    # the classifiers and the stable-set search use neither; scipy is
+    # imported where it is used, by the exact hull
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import qcnet; "
+        "from qcnet.classify import classify; "
+        "g = qcnet.build_conflict_graph(qcnet.build_system(2, 2, [(1, {1}), (1, {2})], rx=(1, 1)), "
+        "qcnet.TrafficPattern.MULTICAST); "
+        "assert classify(g).perfect is not None; qcnet.enumerate_stable_sets(g); "
         "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@st.composite
+def random_graphs(draw, max_vertices=24):
+    """Graphs of mixed density.  Half carry a planted induced ring, an odd
+    hole when its length is odd, on a sparse rest; half are complemented,
+    so that odd antiholes without odd holes turn up as well."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    plant = n >= 5 and draw(st.booleans())
+    density = 0.05 if plant else draw(st.sampled_from((0.15, 0.3, 0.5, 0.7, 0.85)))
+    edges = {e for e in itertools.combinations(range(n), 2) if rnd.random() < density}
+    if plant:
+        ring = rnd.sample(range(n), rnd.randint(5, n))
+        edges = {e for e in edges if not set(e) <= set(ring)}
+        edges |= {tuple(sorted((ring[i - 1], ring[i]))) for i in range(len(ring))}
+    if draw(st.booleans()):
+        edges = set(itertools.combinations(range(n), 2)) - edges
+    return graph_from_edges(n, edges)
+
+
+def _is_canonical_odd_hole(graph, kind, cycle) -> bool:
+    """An induced odd cycle of length >= 5 in the graph (odd_hole) or its
+    complement (odd_antihole), from its lowest vertex toward the smaller
+    of that vertex's two neighbours."""
+    n = len(cycle)
+    if n < 5 or n % 2 == 0 or len(set(cycle)) != n:
+        return False
+    if cycle[0] != min(cycle) or cycle[1] > cycle[-1]:
+        return False
+    for i, j in itertools.combinations(range(n), 2):
+        joined = graph.are_adjacent(cycle[i], cycle[j]) == (kind == "odd_hole")
+        if joined != (j - i in (1, n - 1)):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_classifiers_match_pairwise_reference(graph):
+    assert is_claw_free(graph) == reference_classify.is_claw_free(graph)
+    assert is_quasi_line(graph) == reference_classify.is_quasi_line(graph)
+    assert find_net(graph) == reference_classify.find_net(graph)
+    verdict, witness = is_perfect(graph)
+    assert verdict == reference_classify.is_perfect(graph)
+    assert (witness is None) == verdict
+    if witness is not None:
+        assert _is_canonical_odd_hole(graph, *witness), witness
+
+
+@pytest.mark.parametrize(
+    "order, complemented, expected",
+    [
+        ((3, 0, 4, 1, 2), False, ("odd_hole", (0, 3, 2, 1, 4))),
+        ((5, 2, 6, 0, 3, 1, 4), True, ("odd_antihole", (0, 3, 1, 4, 5, 2, 6))),
+    ],
+)
+def test_perfection_witness_starts_low_toward_smaller_neighbour(order, complemented, expected):
+    n = len(order)
+    ring = {frozenset((order[i], order[(i + 1) % n])) for i in range(n)}
+    edges = [e for e in itertools.combinations(range(n), 2) if (frozenset(e) in ring) != complemented]
+    assert is_perfect(graph_from_edges(n, edges)) == (False, expected)
+
+
+def test_multicast_graph_of_2016_vertices_builds_and_classifies_in_budget():
+    # four 2-unit drives storing all 4 chunks, 6 users: 1.76M edges
+    sys_ = build_system(4, 6, [(2, {1, 2, 3, 4})] * 4, rx=(1,) * 6)
+    start = time.perf_counter()
+    g = build_conflict_graph(sys_, TrafficPattern.MULTICAST)
+    report = classify(g)
+    net = find_net(g)
+    assert time.perf_counter() - start < 10
+    assert g.num_vertices == 2016
+    assert report.claw_witness == (2, 3, 63, 127)
+    assert report.quasi_line_witness == 2
+    assert report.perfect is None
+    assert net == (0, 1, 3, 63, 127, 192)

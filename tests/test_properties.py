@@ -31,14 +31,14 @@ def small_graphs(draw, max_vertices=9):
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
     flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    adj = [set() for _ in range(n)]
+    masks = [0] * n
     for (a, b), on in zip(pairs, flags):
         if on:
-            adj[a].add(b)
-            adj[b].add(a)
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
     return ConflictGraph(
         vertices=tuple(Vertex(i + 1, 1, 1) for i in range(n)),
-        adjacency=tuple(frozenset(s) for s in adj),
+        masks=tuple(masks),
         pattern=TrafficPattern.MULTICAST,
         io_regime="finite",
         system_hash="hypothesis",
