@@ -35,7 +35,6 @@ from .coding import (
     check_achievable_unicast,
     coded_transform,
     striped_layout,
-    update_knowledge,
 )
 from .schedule import (
     FrameSchedule,

@@ -5,7 +5,9 @@ A generation groups uncoded chunks that are mixed into its coded chunks;
 any s distinct coded chunks of a generation decode the whole generation.
 The upper-bound transform rewires the network so every flow whose chunk
 belongs to a generation is servable by every drive holding a coded chunk
-of that generation, with all deliveries counted innovative.
+of that generation, with all deliveries counted innovative.  The
+transformed system carries the layout it was built from, so a
+``DofTracker`` for exact coded bookkeeping needs only the system.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "coded_transform",
     "check_achievable_unicast",
     "check_achievable_any",
-    "update_knowledge",
     "striped_layout",
 ]
 
@@ -116,9 +117,10 @@ def coded_transform(
 
     Each coded chunk of generation g on drive n lets every virtual drive of
     n serve every member chunk of g, and the knowledge matrix is pinned to
-    all-ones.  The link multiset maps (chunk, physical drive) to the number
-    of parallel serving links: one per coded chunk of the covering
-    generation on that drive, one for an untouched uncoded chunk.
+    all-ones; the rewired system's ``coding`` is ``layout``.  The link
+    multiset maps (chunk, physical drive) to the number of parallel serving
+    links: one per coded chunk of the covering generation on that drive,
+    one for an untouched uncoded chunk.
     """
     layout.validate(sys)
     coded_members: frozenset[int] = (
@@ -149,7 +151,7 @@ def coded_transform(
         num_users=sys.num_users,
         drives=tuple(new_drives),
         rx=sys.rx,
-        always_innovative=True,
+        coding=layout,
     )
     return transformed, links
 
@@ -190,10 +192,14 @@ class DofTracker:
 
     Coded chunk ids are ``<gen>.<n>``, numbered 1..alpha per generation in
     physical drive order; the (physical drive, generation) -> ids table is
-    built once here, and ``read`` serves one read from it.
+    built once here from the coded system's layout, and ``read`` serves one
+    read from it.
     """
 
-    def __init__(self, sys: StorageSystem, layout: CodedLayout):
+    def __init__(self, sys: StorageSystem):
+        layout = sys.coding
+        if layout is None:
+            raise ValueError("DofTracker needs a coded system (one returned by coded_transform)")
         self.sys = sys
         self.layout = layout
         self.received: dict[tuple[int, str], set[str]] = {}
@@ -206,9 +212,6 @@ class DofTracker:
             ids = tuple(f"{gen_id}.{len(issued) + c}" for c in range(1, count + 1))
             self._ids[(n, gen_id)] = ids
             self._ids[(None, gen_id)] = issued + ids
-
-    def received_ids(self, user: int, gen_id: str) -> frozenset[str]:
-        return frozenset(self.received.get((user, gen_id), ()))
 
     def remaining(self, user: int, gen_id: str) -> int:
         got = len(self.received.get((user, gen_id), ()))
@@ -264,54 +267,3 @@ class DofTracker:
             elif j in pending:
                 rejected += 1
         return served, rejected
-
-    def innovative_pairs(self, user: int) -> set[tuple[int, int]]:
-        """(chunk, virtual drive) pairs currently innovative for ``user``."""
-        out: set[tuple[int, int]] = set()
-        k = 0
-        for n, drive in enumerate(self.sys.drives, start=1):
-            for _unit in range(drive.units):
-                k += 1
-                for i in sorted(drive.stores):
-                    gen = self._generation_of.get(i)
-                    if gen is None:
-                        out.add((i, k))  # plain uncoded chunk
-                        continue
-                    if self.decoded(user, gen.gen_id):
-                        continue
-                    held = self.received.get((user, gen.gen_id), set())
-                    ids = self._ids.get((n, gen.gen_id), ())
-                    if self.layout.coefficient_cycling and ids:
-                        out.add((i, k))
-                    elif any(c not in held for c in ids):
-                        out.add((i, k))
-        return out
-
-
-def update_knowledge(
-    tracker: DofTracker,
-    delivery: tuple[int, int, str],
-    mode_flag: str = "exact",
-) -> set[tuple[int, int]]:
-    """Apply one coded receipt and return the user's innovation view.
-
-    ``delivery`` is (user, chunk, coded chunk id); the chunk selects the
-    generation.  In ``upper_bound`` mode nothing is tracked and every
-    stored pair stays innovative.  In ``exact`` mode a replica receipt
-    before decode raises SystemBuildError (rejected delivery); decoding at
-    s receipts zeroes the generation's entries.  Returns the (chunk,
-    virtual drive) pairs innovative for the user afterwards.
-    """
-    user, chunk, chunk_id = delivery
-    gen = tracker._generation_of.get(chunk)
-    if gen is None:
-        raise SystemBuildError(f"chunk f{chunk} belongs to no generation")
-    if mode_flag == "upper_bound":
-        return set(tracker.sys.stored_pairs)
-    if mode_flag != "exact":
-        raise ValueError(f"unknown mode flag {mode_flag!r}")
-    if not tracker.record(user, gen.gen_id, chunk_id):
-        raise SystemBuildError(
-            f"rejected delivery: {chunk_id} is not innovative for user u{user}"
-        )
-    return tracker.innovative_pairs(user)

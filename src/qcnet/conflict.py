@@ -109,10 +109,6 @@ class ConflictGraph:
     def are_adjacent(self, a: int, b: int) -> bool:
         return bool(self.masks[a] >> b & 1)
 
-    def is_independent(self, indices) -> bool:
-        idx = list(indices)
-        return all(not self.are_adjacent(a, b) for x, a in enumerate(idx) for b in idx[x + 1 :])
-
     @cached_property
     def has_dnt(self) -> bool:
         return any(v.dnt for v in self.vertices)

@@ -210,13 +210,8 @@ class HullResult:
     ``facets`` are irredundant inequalities a.x <= b valid on the affine
     hull; ``equalities`` pin the affine hull itself (empty when the hull is
     full-dimensional).  ``volume`` is the ambient-dimensional Lebesgue
-    volume: zero whenever dim < ambient.
-
-    The facet set is exact, but its order is not canonical: facets are
-    listed in the order of Qhull's first simplex on each, and Qhull's
-    triangulation follows float rounding (the same points at another
-    scale can come back in another order).  A scipy/Qhull upgrade can
-    therefore reorder ``facets``, and the H-representation text with it.
+    volume: zero whenever dim < ambient.  Facets are sorted by (normal,
+    offset), so their order does not follow Qhull's triangulation.
     """
 
     ambient: int
@@ -335,7 +330,7 @@ def exact_hull(raw_points: list[Point]) -> HullResult:
         ambient=ambient,
         dim=dim,
         vertices=tuple(tuple(Fraction(x, scale) for x in ints[i]) for i in sorted(vert_idx)),
-        facets=tuple(facets),
+        facets=tuple(sorted(facets)),
         equalities=tuple(equalities),
         volume=volume,
     )

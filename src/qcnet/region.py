@@ -34,7 +34,6 @@ class RateRegion:
 
     flows: tuple[tuple[int, int], ...]
     family: StableSetFamily
-    incidence: FlowIncidence
     generators: tuple[tuple[int, ...], ...]
 
     @property
@@ -120,9 +119,4 @@ def rate_region(
         incidence = flow_incidence(family)
     # one row per stable set: the transpose of the per-flow incidence vectors
     generators = tuple(zip(*(incidence.per_flow[f] for f in incidence.flows)))
-    return RateRegion(
-        flows=incidence.flows,
-        family=family,
-        incidence=incidence,
-        generators=generators,
-    )
+    return RateRegion(flows=incidence.flows, family=family, generators=generators)

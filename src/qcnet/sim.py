@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coding import CodedLayout, DofTracker
+from .coding import DofTracker
 from .conflict import mask_users
 from .schedule import IDLE, FrameSchedule, MaxWeightPolicy, _max_weight_set
 from .system import StorageSystem
@@ -77,23 +77,27 @@ def simulate(
     policy: FrameSchedule | MaxWeightPolicy,
     arrivals: ArrivalProcess,
     horizon: int,
-    exact_coding: tuple[StorageSystem, CodedLayout] | None = None,
+    exact_coding: StorageSystem | None = None,
 ) -> SimulationTrace:
     """Run the slotted simulation; deterministic given the arrival seed.
 
     Without ``exact_coding`` an active stable set serves up to its
     generator's count on every flow; on a coded system that is the upper
-    bound, every delivery innovative.  With ``exact_coding=(coded system,
-    layout)`` a ``DofTracker`` serves each read: it carries one stored
-    coded chunk, a user accepts it only while it is innovative, and each
-    pending user who rejects it adds to ``rejected_deliveries``.  In the
-    finite I/O regime a read by virtual drive k carries a coded chunk
-    stored on k's physical drive; in the infinite regime it may carry any
-    coded chunk of the generation.
+    bound, every delivery innovative.  ``exact_coding`` is the coded
+    system the region was built from (ValueError when its content hash
+    differs from the region's); with it a ``DofTracker`` serves each read
+    under the system's layout: a read carries one stored coded chunk, a
+    user accepts it only while it is innovative, and each pending user who
+    rejects it adds to ``rejected_deliveries``.  In the finite I/O regime a
+    read by virtual drive k carries a coded chunk stored on k's physical
+    drive; in the infinite regime it may carry any coded chunk of the
+    generation.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     region = policy.region
+    if exact_coding is not None and exact_coding.content_hash() != region.family.graph.system_hash:
+        raise ValueError("exact_coding is not the coded system the region was built from")
     d = region.dimension
     if len(arrivals.rates) != d:
         raise ValueError("arrival process must give one rate per region flow")
@@ -108,7 +112,7 @@ def simulate(
     frame_slots = policy.slots if isinstance(policy, FrameSchedule) else None
     frame_size = policy.frame_size if isinstance(policy, FrameSchedule) else 0
 
-    tracker = None if exact_coding is None else DofTracker(*exact_coding)
+    tracker = None if exact_coding is None else DofTracker(exact_coding)
     vertices = region.family.graph.vertices
     flow_index = {flow: f for f, flow in enumerate(region.flows)}
 

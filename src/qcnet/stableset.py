@@ -3,8 +3,7 @@
 The family lists every nonempty independent set of a conflict graph in
 canonical order (size first, then lexicographic vertex indices), matching
 how the worked examples index their sets.  An incidence vector counts, per
-stable set, how often a (chunk, user) flow is served; per-link vectors
-keep the serving drive distinct.
+stable set, how often a (chunk, user) flow is served.
 """
 
 from __future__ import annotations
@@ -31,11 +30,6 @@ class StableSetFamily:
     @property
     def size(self) -> int:
         return len(self.sets)
-
-    def incidence_vector(self, ell: int) -> tuple[int, ...]:
-        """0/1 vertex-incidence vector of the ``ell``-th (1-based) set."""
-        member = set(self.sets[ell - 1])
-        return tuple(1 if v in member else 0 for v in range(self.graph.num_vertices))
 
 
 def enumerate_stable_sets(graph: ConflictGraph) -> StableSetFamily:
@@ -71,25 +65,17 @@ def enumerate_stable_sets(graph: ConflictGraph) -> StableSetFamily:
 
 @dataclass(frozen=True)
 class FlowIncidence:
-    """Per-link and aggregated per-flow incidence vectors over a family."""
+    """Per-flow incidence vectors over a family, flows in sorted order."""
 
-    family: StableSetFamily
     flows: tuple[tuple[int, int], ...]
-    per_link: dict[tuple[int, int | None, int], tuple[int, ...]]
     per_flow: dict[tuple[int, int], tuple[int, ...]]
 
 
 def flow_incidence(family: StableSetFamily) -> FlowIncidence:
-    """Build all link-level vectors and their per-flow sums.
-
-    A stable set's link vector entry is 1 when the set contains the vertex
-    serving that (chunk, drive, user) link; summing over drives counts how
-    many reads serve the flow in that set.
-    """
+    """Count, per stable set, the reads that serve each (chunk, user) flow."""
     graph = family.graph
     m = family.size
-    # one length-m vector per key, built when the key is first seen, keeps this linear in m
-    per_link: dict[tuple[int, int | None, int], list[int]] = defaultdict(lambda: [0] * m)
+    # one length-m vector per flow, built when the flow is first seen, keeps this linear in m
     per_flow: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * m)
 
     for ell, members in enumerate(family.sets):
@@ -98,13 +84,7 @@ def flow_incidence(family: StableSetFamily) -> FlowIncidence:
             if v.dnt:
                 continue
             for j in mask_users(v.users):
-                per_link[(v.chunk, v.drive, j)][ell] = 1
                 per_flow[(v.chunk, j)][ell] += 1
 
     flows = tuple(sorted(per_flow))
-    return FlowIncidence(
-        family=family,
-        flows=flows,
-        per_link={k: tuple(v) for k, v in sorted(per_link.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0, kv[0][2]))},
-        per_flow={k: tuple(v) for k, v in sorted(per_flow.items())},
-    )
+    return FlowIncidence(flows=flows, per_flow={k: tuple(per_flow[k]) for k in flows})

@@ -13,8 +13,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .coding import CodedLayout
 
 __all__ = [
     "TrafficPattern",
@@ -80,16 +84,17 @@ class StorageSystem:
     """Immutable storage network with expanded virtual drives.
 
     ``rx[j-1]`` is user j's multipacket-reception budget: the number of
-    chunk deliveries that user may absorb in one timeslot.  When
-    ``always_innovative`` is set (coded upper-bound systems), every stored
-    chunk counts as innovative for every user regardless of history.
+    chunk deliveries that user may absorb in one timeslot.  ``coding`` is
+    the layout a coded upper-bound system was transformed with (set only by
+    ``coded_transform``); on such a system every stored chunk counts as
+    innovative for every user regardless of history.
     """
 
     num_chunks: int
     num_users: int
     drives: tuple[PhysicalDrive, ...]
     rx: tuple[int, ...]
-    always_innovative: bool = False
+    coding: CodedLayout | None = field(default=None, hash=False)  # a layout holds dicts: unhashable
 
     @cached_property
     def virtual_drives(self) -> tuple[frozenset[int], ...]:
@@ -126,19 +131,25 @@ class StorageSystem:
         )
 
     def content_hash(self) -> str:
-        text = "|".join(
-            [
-                f"T={self.num_chunks}",
-                f"N={self.num_users}",
-                f"rx={','.join(map(str, self.rx))}",
-                f"inn={int(self.always_innovative)}",
+        """Hash of the topology and, on a coded system, of its layout."""
+        parts = [
+            f"T={self.num_chunks}",
+            f"N={self.num_users}",
+            f"rx={','.join(map(str, self.rx))}",
+            f"inn={int(self.coding is not None)}",
+        ] + [
+            f"d{n}:u{d.units}:{','.join(map(str, sorted(d.stores)))}"
+            for n, d in enumerate(self.drives, start=1)
+        ]
+        layout = self.coding
+        if layout is not None:
+            parts += [
+                f"{gen_id}:s{g.s}:{','.join(map(str, sorted(g.members)))}"
+                for gen_id, g in sorted(layout.generations.items())
             ]
-            + [
-                f"d{n}:u{d.units}:{','.join(map(str, sorted(d.stores)))}"
-                for n, d in enumerate(self.drives, start=1)
-            ]
-        )
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+            parts += [f"n{n}:{gen_id}:{count}" for (n, gen_id), count in sorted(layout.counts.items())]
+            parts.append(f"cyc={int(layout.coefficient_cycling)}")
+        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -158,7 +169,7 @@ class KnowledgeState:
     def innovative(self, sys: StorageSystem, i: int, j: int, k: int) -> bool:
         if not sys.stores(i, k):
             return False
-        if sys.always_innovative:
+        if sys.coding is not None:
             return True
         return (i, j, k) not in self.zeros
 
@@ -199,7 +210,7 @@ class SystemDescription:
 
     system: StorageSystem
     pattern: TrafficPattern | None = None
-    coding: "object | None" = None  # CodedLayout, kept untyped to avoid an import cycle
+    coding: CodedLayout | None = None
 
 
 def build_system(

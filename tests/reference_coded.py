@@ -79,18 +79,18 @@ def reference_simulate(
     policy: FrameSchedule | MaxWeightPolicy,
     arrivals: ArrivalProcess,
     horizon: int,
-    exact_coding: tuple[StorageSystem, CodedLayout],
+    exact_coding: StorageSystem,
 ) -> SimulationTrace:
     """Finite-regime exact-coded trace, one serving loop per active set."""
     region = policy.region
-    sys, layout = exact_coding
+    sys, layout = exact_coding, exact_coding.coding
     gens = np.array(region.generators, dtype=np.int64)
     arrival_matrix = arrivals.draw(horizon)
     queues = np.zeros(region.dimension, dtype=np.int64)
     backlog = np.zeros(horizon, dtype=np.int64)
     served_total = np.zeros(region.dimension, dtype=np.int64)
     rejected = 0
-    tracker = DofTracker(sys, layout)
+    tracker = DofTracker(sys)
     flow_index = {flow: f for f, flow in enumerate(region.flows)}
     for t in range(horizon):
         queues += arrival_matrix[t]

@@ -219,7 +219,8 @@ def _full_dim_hull(points: list[Vec], dim: int):
 
 
 def reference_hull(raw_points: list) -> HullResult:
-    """Exact hull of rational points, every step in Fractions."""
+    """Exact hull of rational points, every step in Fractions; facets
+    sorted by (normal, offset), the library's order."""
     points = sorted(set(frac_vector(p) for p in raw_points))
     if not points:
         raise GeometryError("no points")
@@ -259,7 +260,7 @@ def reference_hull(raw_points: list) -> HullResult:
         ambient=ambient,
         dim=dim,
         vertices=tuple(points[i] for i in sorted(vert_idx)),
-        facets=tuple(facets),
+        facets=tuple(sorted(facets)),
         equalities=tuple(equalities),
         volume=red_volume if dim == ambient else Fraction(0),
     )

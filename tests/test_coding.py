@@ -18,7 +18,6 @@ from qcnet import (
     enumerate_stable_sets,
     rate_region,
     striped_layout,
-    update_knowledge,
 )
 
 
@@ -27,9 +26,16 @@ def two_chunk_layout(s=2, count=1):
     return CodedLayout(generations={"g1": gen}, counts={(1, "g1"): count, (2, "g1"): count})
 
 
+def striped_tracker(sys_, coefficient_cycling=False) -> DofTracker:
+    layout = striped_layout(sys_)
+    layout.coefficient_cycling = coefficient_cycling
+    return DofTracker(coded_transform(sys_, layout)[0])
+
+
 def test_striped_transform_adds_links(ex4_system):
-    coded, links = coded_transform(ex4_system, striped_layout(ex4_system))
-    assert coded.always_innovative
+    layout = striped_layout(ex4_system)
+    coded, links = coded_transform(ex4_system, layout)
+    assert coded.coding is layout
     assert all(coded.stores(i, k) for i in (1, 2) for k in (1, 2))
     # two links existed uncoded; the transform has four: two were added
     assert sum(links.values()) == 4
@@ -95,49 +101,38 @@ def test_striped_storage_fails_unicast_lemma(ex4_system):
     assert len(violations) == 2
 
 
+def test_tracker_needs_a_coded_system(ex4_system):
+    with pytest.raises(ValueError, match="coded system"):
+        DofTracker(ex4_system)
+
+
 def test_dof_decode_at_threshold(ex4_system):
-    layout = striped_layout(ex4_system)  # s = 2
-    tracker = DofTracker(ex4_system, layout)
+    tracker = striped_tracker(ex4_system)  # s = 2
     assert tracker.remaining(1, "g1") == 2
-    update_knowledge(tracker, (1, 1, "g1.1"), "exact")
+    assert tracker.record(1, "g1", "g1.1")
     assert tracker.remaining(1, "g1") == 1
-    view = update_knowledge(tracker, (1, 2, "g1.2"), "exact")
+    assert tracker.record(1, "g1", "g1.2")
     assert tracker.decoded(1, "g1")
-    assert view == set()  # every entry for the generation zeroed
+    assert not tracker.would_accept(1, "g1", "g1.1")  # nothing of the generation is innovative
 
 
 def test_duplicate_receipt_rejected(ex4_system):
-    tracker = DofTracker(ex4_system, striped_layout(ex4_system))
-    update_knowledge(tracker, (1, 1, "g1.1"), "exact")
-    with pytest.raises(SystemBuildError, match="rejected delivery"):
-        update_knowledge(tracker, (1, 1, "g1.1"), "exact")
+    tracker = striped_tracker(ex4_system)
+    assert tracker.record(1, "g1", "g1.1")
+    assert not tracker.record(1, "g1", "g1.1")
     assert tracker.remaining(1, "g1") == 1
 
 
-def test_fresh_user_sees_all_stored_pairs(ex4_system):
-    tracker = DofTracker(ex4_system, striped_layout(ex4_system))
-    assert tracker.innovative_pairs(1) == set(ex4_system.stored_pairs)
-
-
-def test_upper_bound_mode_tracks_nothing(ex4_system):
-    tracker = DofTracker(ex4_system, striped_layout(ex4_system))
-    view = update_knowledge(tracker, (1, 1, "g1.1"), "upper_bound")
-    assert view == set(ex4_system.stored_pairs)
-    assert tracker.remaining(1, "g1") == 2
-
-
 def test_coefficient_cycling_accepts_replicas(ex4_system):
-    layout = striped_layout(ex4_system)
-    layout.coefficient_cycling = True
-    tracker = DofTracker(ex4_system, layout)
+    tracker = striped_tracker(ex4_system, coefficient_cycling=True)
     assert tracker.record(1, "g1", "g1.1")
     assert tracker.record(1, "g1", "g1.1")  # same id, fresh coefficients
     assert tracker.decoded(1, "g1")
 
 
 def test_received_never_exceeds_s(ex4_system):
-    tracker = DofTracker(ex4_system, striped_layout(ex4_system))
+    tracker = striped_tracker(ex4_system)
     assert tracker.record(1, "g1", "g1.1")
     assert tracker.record(1, "g1", "g1.2")
     assert not tracker.record(1, "g1", "g1.3")  # decoded; nothing further accepted
-    assert len(tracker.received_ids(1, "g1")) == 2
+    assert len(tracker.received[(1, "g1")]) == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,28 @@ def test_facets_supported_by_points():
     for normal, b in hull.facets:
         tight = [p for p in pts if sum(F(n) * F(x) for n, x in zip(normal, p)) == b]
         assert len(tight) >= 2
+
+
+def _scaled_facets_match(points, k) -> bool:
+    """Facets of k * points are the facets (a, k * b) of points, in the same order."""
+    facets = exact_hull(points).facets
+    return exact_hull([tuple(k * x for x in p) for p in points]).facets == tuple((a, k * b) for a, b in facets)
+
+
+def test_facet_order_survives_scaling():
+    # Qhull triangulates these points differently at scale 11; the facets
+    # must still come back in one canonical order
+    points = [(4, 0, 2), (2, 4, 3), (3, 1, 1), (0, 2, 1), (3, 3, 3), (3, 2, 4),
+              (2, 2, 2), (0, 4, 4), (2, 4, 0), (1, 4, 2), (4, 3, 1)]
+    assert _scaled_facets_match(points, 11)
+
+
+def test_facet_order_survives_scaling_sweep():
+    rng = random.Random(7)
+    for _ in range(200):
+        d = rng.randint(2, 4)
+        points = [tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(rng.randint(d + 2, d + 8))]
+        assert _scaled_facets_match(points, rng.randint(2, 12)), points
 
 
 def test_lp_feasible_simple():
@@ -183,7 +206,7 @@ def _outcome(fn, points):
 @settings(max_examples=150, deadline=None)
 @given(point_sets())
 # lattice points lifted onto x4 = 1/6: handed to Qhull at the scale 6 of the
-# whole set instead of their own scale 1, they come back in another facet order
+# whole set instead of their own scale 1, Qhull triangulates them differently
 @example([(F(a), F(b), F(c), F(1, 6)) for a, b, c in [
     (-2, -2, 3), (-2, -1, 3), (-1, -1, 1), (-1, 0, 1), (0, -1, 2),
     (0, -1, 3), (1, 0, -2), (3, -2, -1), (3, 0, 0)]])

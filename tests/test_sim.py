@@ -99,9 +99,7 @@ def test_exact_coded_mode_consults_tracker(ex4_system):
     coded, _ = coded_transform(ex4_system, layout)
     region = rate_region(build_conflict_graph(coded, TrafficPattern.MULTICAST))
     arrivals = ArrivalProcess(rates=(Fraction(1, 2), Fraction(1, 2)), seed=7)
-    exact = simulate(
-        MaxWeightPolicy(region), arrivals, 20_000, exact_coding=(coded, layout)
-    )
+    exact = simulate(MaxWeightPolicy(region), arrivals, 20_000, exact_coding=coded)
     unbounded = simulate(MaxWeightPolicy(region), arrivals, 20_000)
     # with s=2 and only two coded chunks, each user decodes once and then
     # stops accepting; the exact trace serves strictly less
@@ -158,7 +156,7 @@ def random_coded_case(rng: random.Random):
         order = rng.sample(range(1, m + 1), m)
         policy = FrameSchedule(region, m + 1, tuple(order) + (IDLE,))
     rates = tuple(Fraction(rng.randint(0, 6), 8) for _ in region.flows)
-    return policy, ArrivalProcess(rates=rates, seed=rng.randrange(2**32)), (coded, layout)
+    return policy, ArrivalProcess(rates=rates, seed=rng.randrange(2**32)), coded
 
 
 def test_exact_coded_trace_matches_serving_loop_reference():
@@ -182,5 +180,35 @@ def test_exact_coded_reads_any_drive_of_the_generation(ex4_system, io):
     coded, _ = coded_transform(ex4_system, layout)
     region = rate_region(build_conflict_graph(coded, TrafficPattern.MULTICAST, io=io))
     arrivals = ArrivalProcess(rates=(Fraction(1, 4), Fraction(1, 4)), seed=3)
-    trace = simulate(MaxWeightPolicy(region), arrivals, 2_000, exact_coding=(coded, layout))
+    trace = simulate(MaxWeightPolicy(region), arrivals, 2_000, exact_coding=coded)
     assert tuple(trace.served) == (1, 1)
+
+
+def single_chunk_coded(sys_, chunk, drive):
+    """``sys_`` coded with one generation: ``chunk`` alone, s = 1, one coded
+    chunk on ``drive``."""
+    gen = Generation("g", frozenset({chunk}), 1)
+    return coded_transform(sys_, CodedLayout({"g": gen}, {(drive, "g"): 1}))[0]
+
+
+def test_exact_coding_must_be_the_regions_system():
+    sys_ = build_system(2, 1, [(1, {1}), (1, {2})], rx=(2,))
+    coded_f1, coded_f2 = single_chunk_coded(sys_, 1, 1), single_chunk_coded(sys_, 2, 2)
+    region = rate_region(build_conflict_graph(coded_f1, TrafficPattern.MULTICAST))
+    arrivals = ArrivalProcess(rates=(Fraction(1, 4), Fraction(1, 4)), seed=3)
+    # f1 decodes from its single coded chunk, after which no read of it is
+    # innovative; f2 stays uncoded
+    trace = simulate(MaxWeightPolicy(region), arrivals, 2_000, exact_coding=coded_f1)
+    assert tuple(trace.served) == (1, 482)
+    # the same drives under another layout: running it against this region
+    # would treat f1 as uncoded
+    with pytest.raises(ValueError, match="region was built from"):
+        simulate(MaxWeightPolicy(region), arrivals, 2_000, exact_coding=coded_f2)
+
+
+def test_content_hash_tells_layouts_apart():
+    sys_ = build_system(2, 1, [(1, {1}), (1, {2})], rx=(2,))
+    coded_f1, coded_f2 = single_chunk_coded(sys_, 1, 1), single_chunk_coded(sys_, 2, 2)
+    assert coded_f1.drives == coded_f2.drives == sys_.drives
+    assert len({sys_.content_hash(), coded_f1.content_hash(), coded_f2.content_hash()}) == 3
+    assert sys_.content_hash() == "d4f4bc1970f3009a"
