@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .classify import classify
 from .coding import coded_transform
-from .conflict import build_conflict_graph
+from .conflict import ConflictGraph, build_conflict_graph
 from .region import RateRegion, rate_region
 from .schedule import MaxWeightPolicy, build_frame_schedule, decompose_rate
 from .sim import ArrivalProcess, simulate, stability_verdict
@@ -104,12 +104,13 @@ def _load(path: str) -> SystemDescription:
     return parse_system_description(Path(path).read_text(encoding="utf-8"))
 
 
-def _resolve_pattern(desc: SystemDescription, args) -> TrafficPattern:
-    if args.pattern:
-        return TrafficPattern(args.pattern)
-    if desc.pattern is not None:
-        return desc.pattern
-    raise SystemBuildError("no traffic pattern: set [traffic] pattern or pass --pattern")
+def _graph_for(args) -> ConflictGraph:
+    """Conflict graph under --pattern (else [traffic] pattern), --coded and --io."""
+    desc = _load(args.config)
+    pattern = TrafficPattern(args.pattern) if args.pattern else desc.pattern
+    if pattern is None:
+        raise SystemBuildError("no traffic pattern: set [traffic] pattern or pass --pattern")
+    return build_conflict_graph(_system_for(desc, mpr=False, coded=args.coded), pattern, io=args.io)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -120,24 +121,18 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_graph(args) -> None:
-    desc = _load(args.config)
-    base = _system_for(desc, mpr=False, coded=args.coded)
-    graph = build_conflict_graph(base, _resolve_pattern(desc, args), io=args.io)
+    graph = _graph_for(args)
     text = graph.adjacency_text() + "# edges\n" + graph.edge_list_text()
     _emit(text, args.out)
 
 
 def _cmd_props(args) -> None:
-    desc = _load(args.config)
-    base = _system_for(desc, mpr=False, coded=args.coded)
-    graph = build_conflict_graph(base, _resolve_pattern(desc, args), io=args.io)
+    graph = _graph_for(args)
     _emit(classify(graph).as_text(graph), args.out)
 
 
 def _cmd_region(args) -> None:
-    desc = _load(args.config)
-    pattern = _resolve_pattern(desc, args)
-    region = _region_for(desc, pattern, mpr=False, coded=args.coded, io=args.io)
+    region = rate_region(_graph_for(args))
     volume = region.volume()  # its dimension guard trips before the hull is built
     parts = [
         "# vertices\n",
@@ -162,18 +157,14 @@ def _parse_rates(raw: str, dimension: int) -> tuple[Fraction, ...]:
 
 
 def _cmd_schedule(args) -> None:
-    desc = _load(args.config)
-    pattern = _resolve_pattern(desc, args)
-    region = _region_for(desc, pattern, mpr=False, coded=args.coded, io=args.io)
+    region = rate_region(_graph_for(args))
     rates = _parse_rates(args.rates, region.dimension)
     frame = build_frame_schedule(decompose_rate(region, rates))
     _emit(frame.export_text(), args.out)
 
 
 def _cmd_simulate(args) -> None:
-    desc = _load(args.config)
-    pattern = _resolve_pattern(desc, args)
-    region = _region_for(desc, pattern, mpr=False, coded=args.coded, io=args.io)
+    region = rate_region(_graph_for(args))
     rates = _parse_rates(args.rates, region.dimension)
     arrivals = ArrivalProcess(rates=rates, seed=args.seed)
     if args.policy == "frame":
@@ -210,9 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="system description file")
-        p.add_argument("--pattern", choices=pattern_names)
+        if name != "compare":  # compare tabulates every pattern, uncoded and coded
+            p.add_argument("--pattern", choices=pattern_names)
+            p.add_argument("--coded", action="store_true")
         p.add_argument("--io", choices=["finite", "infinite"], default="finite")
-        p.add_argument("--coded", action="store_true")
         p.add_argument("--out")
         if name in ("schedule", "simulate"):
             p.add_argument("--rates", required=True, help="comma-separated per-flow rates")

@@ -12,7 +12,9 @@ transformed system carries the layout it was built from, so a
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .system import PhysicalDrive, StorageSystem, SystemBuildError
 
@@ -42,17 +44,22 @@ class Generation:
             raise SystemBuildError(f"generation {self.gen_id}: empty member set")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodedLayout:
     """Coded chunk placement: per (physical drive, generation) counts.
 
-    Coded chunk ids are synthesized as ``<gen>.<n>`` (see ``DofTracker``),
-    so they are unique system-wide.
+    ``generations`` and ``counts`` are read-only copies of the mappings
+    given.  Coded chunk ids are synthesized as ``<gen>.<n>`` (see
+    ``DofTracker``), so they are unique system-wide.
     """
 
-    generations: dict[str, Generation]
-    counts: dict[tuple[int, str], int]
+    generations: Mapping[str, Generation]
+    counts: Mapping[tuple[int, str], int]
     coefficient_cycling: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "generations", MappingProxyType(dict(self.generations)))
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
 
     def validate(self, sys: StorageSystem) -> None:
         seen_member: dict[int, str] = {}

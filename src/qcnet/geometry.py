@@ -314,11 +314,7 @@ def exact_hull(raw_points: list[Point]) -> HullResult:
         vert_idx, volume = [0], Fraction(0)
     else:
         reduced = [tuple(p[c] for c in pivots) for p in ints]
-        # scale by the reduced points' own lcm, so Qhull sees what they alone would give
-        common = gcd(scale, *(x for p in reduced for x in p))
-        if common > 1:
-            reduced = [tuple(x // common for x in p) for p in reduced]
-        vert_idx, red_facets, red_volume = _full_dim_hull(reduced, scale // common, dim)
+        vert_idx, red_facets, red_volume = _full_dim_hull(reduced, scale, dim)
         for a, b in red_facets:
             full = [0] * ambient
             for t, pc in enumerate(pivots):

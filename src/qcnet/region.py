@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .conflict import ConflictGraph
 from .geometry import HullResult, Vec, exact_hull, exact_lp_feasible, frac_vector
 from .stableset import FlowIncidence, StableSetFamily, enumerate_stable_sets, flow_incidence
@@ -49,6 +51,14 @@ class RateRegion:
         for ell, point in enumerate(self.generators):
             first.setdefault(point, ell)
         return tuple(first), tuple(first.values())
+
+    @cached_property
+    def service_rows(self) -> np.ndarray:
+        """Read-only int64 table of per-set deliveries: row 0 is the idle
+        set (all zeros), row ell the generator of stable set ell."""
+        rows = np.array([(0,) * self.dimension, *self.generators], dtype=np.int64)
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def hull(self) -> HullResult:

@@ -150,14 +150,12 @@ def build_frame_schedule(decomp: RateDecomposition) -> FrameSchedule:
     return FrameSchedule(region=decomp.region, frame_size=frame, slots=tuple(slots))
 
 
-def _max_weight_set(gens: np.ndarray, queues: np.ndarray) -> int:
-    """Index (1-based) of the row of ``gens`` with the largest weight
-    ``gens @ queues``, or IDLE when no weight is positive.  Ties go to the
-    earliest set in canonical order."""
-    weights = gens @ queues
-    if weights.size == 0 or weights.max() <= 0:
-        return IDLE
-    return int(weights.argmax()) + 1
+def _max_weight_set(rows: np.ndarray, queues: np.ndarray) -> int:
+    """First row of ``rows`` (a region's ``service_rows``) with the largest
+    weight ``rows @ queues``.  Rows and queues are never negative, so the
+    all-zero idle row 0 wins exactly when no set's weight is positive, and
+    ties go to the earliest set in canonical order."""
+    return int(rows.dot(queues).argmax())
 
 
 class MaxWeightPolicy:
@@ -165,16 +163,15 @@ class MaxWeightPolicy:
 
     def __init__(self, region: RateRegion):
         self.region = region
-        self._gens = np.array(region.generators, dtype=np.int64)
 
     def step(self, queues) -> int:
         """Index (1-based) of the max-weight stable set, or IDLE when all
-        queues are empty.  A set's weight sums queue lengths over every
-        (chunk, user) delivery it makes, counting repeat reads per flow.
-        Ties break toward the earliest set in canonical order."""
+        queues are empty.  A set's weight is its ``service_rows`` row times
+        the queues: queue lengths summed over every (chunk, user) delivery,
+        repeat reads counted; ties go to the earliest set in canonical order."""
         q = list(queues)
         if len(q) != self.region.dimension:
             raise ValueError("queue vector length mismatch")
         if any(x < 0 for x in q):
             raise ValueError("negative queue length")
-        return _max_weight_set(self._gens, np.asarray(q))
+        return _max_weight_set(self.region.service_rows, np.asarray(q))

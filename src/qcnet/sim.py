@@ -16,7 +16,7 @@ import numpy as np
 
 from .coding import DofTracker
 from .conflict import mask_users
-from .schedule import IDLE, FrameSchedule, MaxWeightPolicy, _max_weight_set
+from .schedule import FrameSchedule, MaxWeightPolicy, _max_weight_set
 from .system import StorageSystem
 
 __all__ = ["ArrivalProcess", "SimulationTrace", "StabilityVerdict", "simulate", "stability_verdict"]
@@ -48,6 +48,8 @@ class ArrivalProcess:
 
 @dataclass(frozen=True)
 class SimulationTrace:
+    """What ``simulate`` returns: int64 arrays, byte-identical per seed."""
+
     horizon: int
     backlog: np.ndarray  # total queued requests after each slot
     served: np.ndarray  # per-flow service totals
@@ -65,12 +67,9 @@ class StabilityVerdict:
     slope: float
     max_backlog: int
 
-    @property
-    def verdict(self) -> str:
-        return "stable" if self.stable else "unstable"
-
     def summary_line(self) -> str:
-        return f"{self.verdict}\t{self.slope:.6f}\t{self.max_backlog}"
+        verdict = "stable" if self.stable else "unstable"
+        return f"{verdict}\t{self.slope:.6f}\t{self.max_backlog}"
 
 
 def simulate(
@@ -81,17 +80,19 @@ def simulate(
 ) -> SimulationTrace:
     """Run the slotted simulation; deterministic given the arrival seed.
 
-    Without ``exact_coding`` an active stable set serves up to its
-    generator's count on every flow; on a coded system that is the upper
-    bound, every delivery innovative.  ``exact_coding`` is the coded
-    system the region was built from (ValueError when its content hash
-    differs from the region's); with it a ``DofTracker`` serves each read
-    under the system's layout: a read carries one stored coded chunk, a
-    user accepts it only while it is innovative, and each pending user who
-    rejects it adds to ``rejected_deliveries``.  In the finite I/O regime a
-    read by virtual drive k carries a coded chunk stored on k's physical
-    drive; in the infinite regime it may carry any coded chunk of the
-    generation.
+    Each slot adds its arrivals, picks a row ell of ``region.service_rows``
+    (the frame's entry or the max-weight set; row 0 is IDLE), serves and
+    logs what it served; backlog and per-flow totals follow by conservation
+    after the loop.  Without ``exact_coding`` set ell serves up to its row's
+    count on every flow; on a coded system that is the upper bound, every
+    delivery innovative.  ``exact_coding`` is the coded system the region
+    was built from (ValueError when its content hash differs from the
+    region's); with it a ``DofTracker`` serves each read under the
+    system's layout: a read carries one stored coded chunk, a user accepts
+    it only while it is innovative, and each pending user who rejects it
+    adds to ``rejected_deliveries``.  In the finite I/O regime a read by
+    virtual drive k carries a coded chunk stored on k's physical drive; in
+    the infinite regime it may carry any coded chunk of the generation.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -102,47 +103,44 @@ def simulate(
     if len(arrivals.rates) != d:
         raise ValueError("arrival process must give one rate per region flow")
 
-    gens = np.array(region.generators, dtype=np.int64)  # (m, d) service counts
+    rows = region.service_rows
     arrival_matrix = arrivals.draw(horizon)
+    served = np.zeros_like(arrival_matrix)  # deliveries made in each slot
     queues = np.zeros(d, dtype=np.int64)
-    backlog = np.zeros(horizon, dtype=np.int64)
-    served_total = np.zeros(d, dtype=np.int64)
     rejected = 0
 
     frame_slots = policy.slots if isinstance(policy, FrameSchedule) else None
-    frame_size = policy.frame_size if isinstance(policy, FrameSchedule) else 0
 
     tracker = None if exact_coding is None else DofTracker(exact_coding)
     vertices = region.family.graph.vertices
     flow_index = {flow: f for f, flow in enumerate(region.flows)}
+    sets = ((),) + region.family.sets  # indexed like the table: IDLE reads nothing
 
-    for t in range(horizon):
-        queues += arrival_matrix[t]
+    for t, (arrived, out) in enumerate(zip(arrival_matrix, served)):
+        queues += arrived
         if frame_slots is not None:
-            ell = frame_slots[t % frame_size]
+            ell = frame_slots[t % len(frame_slots)]
         else:
-            ell = _max_weight_set(gens, queues)
-        if ell != IDLE:
-            if tracker is None:
-                served = np.minimum(queues, gens[ell - 1])
-            else:
-                served = np.zeros_like(queues)
-                for v in (vertices[i] for i in region.family.sets[ell - 1]):
-                    flows = {j: flow_index[(v.chunk, j)] for j in mask_users(v.users)}
-                    pending = {j for j, f in flows.items() if queues[f] > served[f]}
-                    got, r = tracker.read(v.chunk, v.drive, tuple(flows), pending)
-                    for j in got:
-                        served[flows[j]] += 1
-                    rejected += r
-            queues -= served
-            served_total += served
-        backlog[t] = queues.sum()
+            ell = _max_weight_set(rows, queues)
+        if tracker is None:
+            np.minimum(queues, rows[ell], out=out)
+        else:
+            for v in (vertices[i] for i in sets[ell]):
+                flows = {j: flow_index[(v.chunk, j)] for j in mask_users(v.users)}
+                pending = {j for j, f in flows.items() if queues[f] > out[f]}
+                got, r = tracker.read(v.chunk, v.drive, tuple(flows), pending)
+                for j in got:
+                    out[flows[j]] += 1
+                rejected += r
+        queues -= out
 
+    # conservation: the backlog after slot t is every arrival so far less every delivery
+    backlog = np.cumsum(arrival_matrix.sum(axis=1) - served.sum(axis=1))
     return SimulationTrace(
         horizon=horizon,
         backlog=backlog,
-        served=served_total,
-        final_queues=queues.copy(),
+        served=served.sum(axis=0),
+        final_queues=queues,
         rejected_deliveries=rejected,
     )
 

@@ -94,7 +94,7 @@ class StorageSystem:
     num_users: int
     drives: tuple[PhysicalDrive, ...]
     rx: tuple[int, ...]
-    coding: CodedLayout | None = field(default=None, hash=False)  # a layout holds dicts: unhashable
+    coding: CodedLayout | None = field(default=None, hash=False)  # a layout holds mappings: unhashable
 
     @cached_property
     def virtual_drives(self) -> tuple[frozenset[int], ...]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from qcnet.coding import CodedLayout, DofTracker, Generation
 from qcnet.conflict import mask_users
-from qcnet.schedule import IDLE, FrameSchedule, MaxWeightPolicy, _max_weight_set
+from qcnet.schedule import IDLE, FrameSchedule, MaxWeightPolicy
 from qcnet.sim import ArrivalProcess, SimulationTrace
 from qcnet.system import StorageSystem
 
@@ -97,7 +97,9 @@ def reference_simulate(
         if isinstance(policy, FrameSchedule):
             ell = policy.slots[t % policy.frame_size]
         else:
-            ell = _max_weight_set(gens, queues)
+            # the earliest max-weight set, or IDLE when no weight is positive
+            weights = gens @ queues
+            ell = int(weights.argmax()) + 1 if weights.size and weights.max() > 0 else IDLE
         if ell != IDLE:
             served, r = _serve(
                 region.family.graph.vertices,

@@ -29,6 +29,14 @@ def test_compare_matches_published_two_chunk_table(capsys):
     assert lines[-1].split("\t")[-1] == "54.8"
 
 
+@pytest.mark.parametrize("flag", [("--pattern", "broadcast"), ("--coded",)])
+def test_compare_rejects_flags_it_does_not_read(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(DATA / "ex6.txt"), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_props_reports_quasi_line_for_multiple_unicast(capsys):
     code, out, _ = run_cli(
         capsys, "props", str(DATA / "ex6.txt"), "--pattern", "multiple_unicast"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,7 @@ def two_chunk_layout(s=2, count=1):
 
 
 def striped_tracker(sys_, coefficient_cycling=False) -> DofTracker:
-    layout = striped_layout(sys_)
-    layout.coefficient_cycling = coefficient_cycling
+    layout = replace(striped_layout(sys_), coefficient_cycling=coefficient_cycling)
     return DofTracker(coded_transform(sys_, layout)[0])
 
 
@@ -39,6 +39,21 @@ def test_striped_transform_adds_links(ex4_system):
     assert all(coded.stores(i, k) for i in (1, 2) for k in (1, 2))
     # two links existed uncoded; the transform has four: two were added
     assert sum(links.values()) == 4
+
+
+def test_layout_cannot_change_after_the_transform():
+    sys_ = build_system(2, 1, [(1, {1}), (1, {2})], rx=(2,))
+    counts = {(1, "g"): 1}
+    layout = CodedLayout({"g": Generation("g", frozenset({1}), 1)}, counts)
+    coded, _ = coded_transform(sys_, layout)
+    assert coded.content_hash() == "56f9d0a736d253b3"
+    with pytest.raises(TypeError):
+        layout.counts[(2, "g")] = 1
+    with pytest.raises(FrozenInstanceError):
+        layout.coefficient_cycling = True
+    counts[(2, "g")] = 1  # the layout holds a copy of the caller's dict
+    assert dict(coded.coding.counts) == {(1, "g"): 1}
+    assert coded.content_hash() == "56f9d0a736d253b3"
 
 
 def test_identity_on_singleton_generations(ex6_system):

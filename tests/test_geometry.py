@@ -205,8 +205,9 @@ def _outcome(fn, points):
 
 @settings(max_examples=150, deadline=None)
 @given(point_sets())
-# lattice points lifted onto x4 = 1/6: handed to Qhull at the scale 6 of the
-# whole set instead of their own scale 1, Qhull triangulates them differently
+# lattice points lifted onto x4 = 1/6: their reduced coordinates reach Qhull
+# at the whole set's scale 6, where Qhull triangulates them differently than
+# at their own scale 1; the sorted facets must still match the oracle exactly
 @example([(F(a), F(b), F(c), F(1, 6)) for a, b, c in [
     (-2, -2, 3), (-2, -1, 3), (-1, -1, 1), (-1, 0, 1), (0, -1, 2),
     (0, -1, 3), (1, 0, -2), (3, -2, -1), (3, 0, 0)]])

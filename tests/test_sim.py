@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from qcnet.coding import CodedLayout, Generation, coded_transform
 from qcnet.schedule import IDLE, FrameSchedule, MaxWeightPolicy
 from qcnet.sim import StabilityVerdict
 from reference_coded import reference_simulate
+from test_acceptance import BRACKET_CASES
 
 
 def test_arrivals_reject_rates_above_one():
@@ -212,3 +214,36 @@ def test_content_hash_tells_layouts_apart():
     assert coded_f1.drives == coded_f2.drives == sys_.drives
     assert len({sys_.content_hash(), coded_f1.content_hash(), coded_f2.content_hash()}) == 3
     assert sys_.content_hash() == "d4f4bc1970f3009a"
+
+
+def pinned_traces():
+    """Criterion 7's cases at 0.95x, and at 1.05x where every rate stays
+    within 1, under both policies and seeds 1-3 for 20,000 slots; then 16
+    exact-coded random cases for 2,000 slots."""
+    for _label, builder, pattern, boundary, _unstable in BRACKET_CASES:
+        region = rate_region(build_conflict_graph(builder(), pattern))
+        policies = (build_frame_schedule(decompose_rate(region, boundary)), MaxWeightPolicy(region))
+        for scale in (Fraction(19, 20), Fraction(21, 20)):
+            rates = tuple(scale * r for r in boundary)
+            if max(rates) > 1:
+                continue
+            for policy in policies:
+                for seed in (1, 2, 3):
+                    yield simulate(policy, ArrivalProcess(rates=rates, seed=seed), 20_000)
+    rng = random.Random(1406)
+    for _ in range(16):
+        policy, arrivals, exact = random_coded_case(rng)
+        yield simulate(policy, arrivals, 2_000, exact_coding=exact)
+
+
+def test_traces_match_pinned_digest():
+    # sha256 over every trace's int64 backlog, served and final queues and
+    # its rejected count: a change to what any slot serves, or to the
+    # arrival stream, moves it
+    h = hashlib.sha256()
+    for trace in pinned_traces():
+        for values in (trace.backlog, trace.served, trace.final_queues):
+            assert values.dtype == np.int64
+            h.update(values.tobytes())
+        h.update(str(trace.rejected_deliveries).encode())
+    assert h.hexdigest() == "4946921d0bef0b2bc7dc994e043cfea9e54ec3961e07e653cff45068dd586f87"
