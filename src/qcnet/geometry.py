@@ -9,6 +9,15 @@ exact.  Convex-hull combinatorics come from Qhull (scipy) on the scaled
 points; facets, vertices and volumes are rebuilt in integer arithmetic and
 every input point is verified against every facet, so a numerically wrong
 hull raises instead of propagating.  LPs never touch floats.
+
+The hull's determinants run in batches: ``_dets`` eliminates a stack of
+square int matrices at once in numpy, ``_SLICE`` matrices per call.  With
+B the largest |entry| of an n x n stack, every Bareiss intermediate is at
+most twice the square of Hadamard's bound, so the stack runs in int64 when
+(n * B**2) ** n < 2**62 and in Python ints (dtype object) otherwise.  The
+volume sums the cones from the least point, a hull vertex, over the
+triangulated facets that miss it; a point is a vertex exactly when the
+Gram matrix of its tight facet normals is nonsingular.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from functools import reduce
+from operator import and_, mul
 
 import numpy as np
 
@@ -90,26 +100,47 @@ def _int_gauss_jordan(rows: list[list[int]]) -> tuple[list[list[int]], list[int]
     return mat, pivots
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+_SLICE = 256  # matrices per kernel call: bounds the temporaries of a large stack
+
+
+def _int_array(values, bound: int) -> np.ndarray:
+    """``values`` (Python ints, nested) as an int64 array when ``bound``, a
+    bound on every integer the caller computes from them, is below 2**62;
+    as Python ints (dtype object) otherwise."""
+    return np.array(values, dtype=np.int64 if bound < 2**62 else object)
+
+
+def _dets(mats: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack of square integer matrices, shape
+    (k, n, n), int64 or Python ints, by fraction-free Bareiss elimination
+    with a row swap per matrix and exact ``//`` divisions.
+
+    With B the largest |entry|, every intermediate is at most 2 * H**2,
+    where H = (n * B**2) ** (n / 2) is Hadamard's bound, so the stack is
+    eliminated in int64 when (n * B**2) ** n < 2**62 and in Python ints
+    otherwise.
+    """
+    k, n, _ = mats.shape
+    if k == 0:
+        return np.zeros(0, dtype=np.int64)
+    b = int(abs(mats).max())
+    m = _int_array(mats, (n * b * b) ** n)
+    sign = np.ones(k, dtype=np.int64)
+    prev = np.ones(k, dtype=m.dtype)
+    for c in range(n - 1):
+        p = m[:, c, c]  # a view: it sees the swaps below
+        if not p.all():  # swap up the first row with a nonzero entry in column c
+            row = c + (m[:, c:, c] != 0).argmax(axis=1)
+            swap = np.flatnonzero(row != c)
+            m[swap, c], m[swap, row[swap]] = m[swap, row[swap]], m[swap, c]
+            sign[swap] = -sign[swap]
+        m[:, c + 1:, c + 1:] = (
+            m[:, c + 1:, c + 1:] * p[:, None, None] - m[:, c + 1:, c, None] * m[:, c, None, c + 1:]
+        ) // prev[:, None, None]
+        # a zero pivot means a zero column: the determinant is 0 and the
+        # update above zeroed the rest, which stays 0 when divided by 1
+        prev = np.where(p != 0, p, 1)
+    return sign * m[:, n - 1, n - 1]
 
 
 def _kernel_vector(mat: list[list[int]], pivots: list[int], free: int, n: int) -> tuple[int, ...]:
@@ -222,28 +253,29 @@ class HullResult:
     volume: Fraction
 
 
-def _full_dim_hull(ints: list[tuple[int, ...]], scale: int, dim: int) -> tuple[list[int], list[tuple[tuple[int, ...], Fraction]], Fraction]:
-    """Vertex indices, facets, and exact volume for the full-dimensional
-    distinct points ``ints / scale``."""
+def _full_dim_hull(ints: list[tuple[int, ...]], dim: int) -> tuple[list[int], list[tuple[tuple[int, ...], int]], list[list[int]]]:
+    """Vertex indices and facets (a, b), a.p <= b for every point p, of the
+    full-dimensional distinct int points ``ints``, and the boundary
+    simplices to cone over from ``ints[0]`` for the volume: a triangulation
+    of the facets, less the simplices on facets through ``ints[0]``, whose
+    cones are flat."""
     from scipy.spatial import ConvexHull  # deferred: keeps import cost off the LP path
 
     if dim == 1:
         vals = [p[0] for p in ints]
-        lo, hi = min(vals), max(vals)
-        facets = [((1,), Fraction(hi, scale)), ((-1,), Fraction(-lo, scale))]
-        verts = [vals.index(lo), vals.index(hi)]
-        return verts, facets, Fraction(hi - lo, scale)
+        lo, hi = vals.index(min(vals)), vals.index(max(vals))
+        return [lo, hi], [((1,), vals[hi]), ((-1,), -vals[lo])], [[i] for i in (lo, hi) if vals[i] != vals[0]]
 
-    hull = ConvexHull(np.array(ints, dtype=float), qhull_options="Qt")
-
+    simplices = ConvexHull(np.array(ints, dtype=float), qhull_options="Qt").simplices.tolist()
     npts = len(ints)
-    csum = [sum(col) for col in zip(*ints)]  # npts * centroid
+    csum = [sum(col) for col in zip(*ints)]  # npts * centroid, inside every facet
 
-    facets: list[tuple[tuple[int, ...], int]] = []  # in order of first simplex
-    on_facets: list[set[int]] = [set() for _ in ints]  # facet indices tight at each point
-    cone_dets = 0  # sum of |det| over the centroid cones, each scaled by npts**dim
-    for simplex in hull.simplices.tolist():
-        if not set.intersection(*(on_facets[i] for i in simplex)):
+    facets: list[tuple[tuple[int, ...], int]] = []
+    on_facets = [0] * npts  # per point: bit k set when the point is on facet k
+    cones: list[list[int]] = []
+    for simplex in simplices:
+        common = reduce(and_, [on_facets[i] for i in simplex])
+        if not common:
             # a new plane; a simplex on a known facet lies in its plane
             pts = [ints[i] for i in simplex]
             mat, pivots = _int_gauss_jordan([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])
@@ -258,28 +290,42 @@ def _full_dim_hull(ints: list[tuple[int, ...]], scale: int, dim: int) -> tuple[l
                 b = -b
             elif side == 0:
                 raise GeometryError("claimed facet plane passes through the centroid")
-            k = len(facets)
+            common = 1 << len(facets)
             facets.append((a, b))
             for i, p in enumerate(ints):
                 v = _dot(a, p)
                 if v > b:
                     raise GeometryError("hull facet violated by an input point")
                 if v == b:
-                    on_facets[i].add(k)
-        # cone from the centroid over this facet simplex
-        cone = [[ints[i][c] * npts - csum[c] for c in range(dim)] for i in simplex]
-        cone_dets += abs(_int_det(cone))
+                    on_facets[i] |= common
+        if not common & on_facets[0]:
+            cones.append(simplex)
 
-    volume = Fraction(cone_dets, npts**dim * math.factorial(dim) * scale**dim)
-
+    # a point is a vertex exactly when its tight normals have rank dim, that
+    # is when their Gram matrix sum_k a_k a_k^T is nonsingular
+    cand = [i for i, mask in enumerate(on_facets) if mask.bit_count() >= dim]
+    nf = len(facets)
+    amax = max(abs(x) for a, _ in facets for x in a)
+    normals = _int_array([a for a, _ in facets], max(m.bit_count() for m in on_facets) * amax * amax)
+    outer = (normals[:, :, None] * normals[:, None, :]).reshape(nf, dim * dim)
     vertices: list[int] = []
-    for idx, tight in enumerate(on_facets):
-        if len(tight) >= dim:
-            _, pivots = _int_gauss_jordan([facets[k][0] for k in tight])
-            if len(pivots) == dim:
-                vertices.append(idx)
+    for s in range(0, len(cand), _SLICE):
+        part = cand[s:s + _SLICE]
+        tight = np.array([[on_facets[i] >> k & 1 for k in range(nf)] for i in part], dtype=outer.dtype)
+        grams = (tight @ outer).reshape(-1, dim, dim)
+        vertices.extend(i for i, det in zip(part, _dets(grams).tolist()) if det)
 
-    return vertices, [(a, Fraction(b, scale)) for a, b in facets], volume
+    return vertices, facets, cones
+
+
+def _cone_dets(ints: list[tuple[int, ...]], cones: list[list[int]]) -> int:
+    """Sum of |det| over the cones from ``ints[0]`` over the ``cones``
+    simplices: dim! times the volume of the int points' hull."""
+    p0 = ints[0]
+    diffs = [[x - y for x, y in zip(p, p0)] for p in ints]
+    rows = _int_array(diffs, max(abs(x) for row in diffs for x in row))
+    simplices = np.array(cones, dtype=np.intp)
+    return sum(int(abs(_dets(rows[simplices[s:s + _SLICE]])).sum()) for s in range(0, len(cones), _SLICE))
 
 
 def exact_hull(raw_points: list[Point]) -> HullResult:
@@ -310,17 +356,19 @@ def exact_hull(raw_points: list[Point]) -> HullResult:
             equalities.append((normal, Fraction(_dot(normal, p0), scale)))
 
     facets: list[tuple[tuple[int, ...], Fraction]] = []
+    volume = Fraction(0)
     if dim == 0:
-        vert_idx, volume = [0], Fraction(0)
+        vert_idx = [0]
     else:
         reduced = [tuple(p[c] for c in pivots) for p in ints]
-        vert_idx, red_facets, red_volume = _full_dim_hull(reduced, scale, dim)
+        vert_idx, red_facets, cones = _full_dim_hull(reduced, dim)
         for a, b in red_facets:
             full = [0] * ambient
             for t, pc in enumerate(pivots):
                 full[pc] = a[t]  # already primitive; embedding adds only zeros
-            facets.append((tuple(full), b))
-        volume = red_volume if dim == ambient else Fraction(0)
+            facets.append((tuple(full), Fraction(b, scale)))
+        if dim == ambient:
+            volume = Fraction(_cone_dets(ints, cones), math.factorial(dim) * scale**dim)
 
     return HullResult(
         ambient=ambient,

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcnet.geometry import GeometryError, exact_hull, exact_lp_feasible
-from reference_geometry import reference_hull, reference_lp_feasible
+from qcnet.geometry import GeometryError, _dets, exact_hull, exact_lp_feasible
+from reference_geometry import _det, reference_hull, reference_lp_feasible
 
 
 def F(*args) -> Fraction:
@@ -37,12 +39,29 @@ def test_simplex_volume_matches_factorial():
 
 
 def test_hypercube_volume():
-    import itertools
+    # the unit 6-cube is the ex7 uncoded multicast+MPR region
+    for d in (4, 6, 7):
+        hull = exact_hull(list(itertools.product((0, 1), repeat=d)))
+        assert hull.volume == 1
+        assert len(hull.vertices) == 2**d
+        assert len(hull.facets) == 2 * d
 
-    points = list(itertools.product((0, 1), repeat=4))
+
+def test_vertex_certificate_with_more_tight_facets_than_dim():
+    # octahedron x [0, 1] and the midpoint of a vertical edge: four facets
+    # are tight at the midpoint, but their normals (1, +-1, +-1, 0) have
+    # rank 3 in dimension 4, so it is not a vertex
+    octahedron = [tuple(s * int(r == c) for c in range(3)) for r in range(3) for s in (1, -1)]
+    midpoint = (1, 0, 0, F(1, 2))
+    points = [(*p, t) for p in octahedron for t in (0, 1)] + [midpoint]
     hull = exact_hull(points)
-    assert hull.volume == 1
-    assert len(hull.vertices) == 16
+    assert len(hull.vertices) == 12
+    assert len(hull.facets) == 10
+    assert hull.volume == F(4, 3)
+    assert midpoint not in hull.vertices
+    tight = [a for a, b in hull.facets if sum(x * y for x, y in zip(a, midpoint)) == b]
+    assert len(tight) == 4
+    assert repr(hull) == repr(reference_hull(points))
 
 
 def test_degenerate_segment():
@@ -220,6 +239,66 @@ def test_hull_matches_fraction_oracle(points):
     mixed = [[int(x) if x.denominator == 1 and (i + r) % 2 else x for r, x in enumerate(p)]
              for i, p in enumerate(points)]
     assert repr(_outcome(exact_hull, mixed)) == repr(hull)
+
+
+# --- the batched determinant kernel on both sides of its int64 bound ----------
+
+# the largest B with (3 * B**2) ** 3 < 2**62: a 3 x 3 stack with entries up
+# to B is eliminated in int64, one with an entry B + 1 in Python ints
+INT64_B3 = 744
+
+
+def test_int64_bound_of_3x3_stacks():
+    assert (3 * INT64_B3**2) ** 3 < 2**62 <= (3 * (INT64_B3 + 1) ** 2) ** 3
+
+
+@pytest.mark.parametrize("b", [INT64_B3, INT64_B3 + 1, 5_000, 10**30])
+def test_dets_match_fraction_determinants(b):
+    rng = random.Random(b)
+    mats = [[[rng.randint(-b, b) for _ in range(3)] for _ in range(3)] for _ in range(40)]
+    mats[0][0][0] = b  # the largest entry decides the dtype
+    mats[1] = [[b, b, 0], [0, b, b], [b, 0, b]]  # |det| = 2 * B**3
+    mats[2][2] = [0, 0, 0]  # singular: a zero row
+    mats[3][0][0] = 0  # a zero pivot: a row swap
+    mats[4] = [[b, 1, 0], [0, 0, 1], [0, 0, 2]]  # a zero column after the first step
+    stack = np.array(mats, dtype=object)
+    assert _dets(stack).tolist() == [_det(m) for m in mats]
+    assert stack.tolist() == mats  # the input stack is left as it was
+
+
+def test_dets_match_fraction_determinants_by_size():
+    # mostly zeros: zero pivots, row swaps and zero columns at every step
+    rng = random.Random(1968)
+    for n in range(1, 8):
+        mats = [[[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)] for _ in range(300)]
+        assert _dets(np.array(mats, dtype=np.int64)).tolist() == [_det(m) for m in mats], n
+
+
+def test_dets_of_empty_and_1x1_stacks():
+    assert _dets(np.zeros((0, 3, 3), dtype=np.int64)).tolist() == []
+    assert _dets(np.array([[[-7]], [[2**70]]], dtype=object)).tolist() == [-7, 2**70]
+
+
+def _hull_cases():
+    rng = random.Random(1406)
+    # 3-D points near +-5,000: cones and Gram matrices beyond int64
+    yield [tuple(rng.randint(-5_000, 5_000) for _ in range(3)) for _ in range(12)]
+    # Fractions whose lcm scale is 19 * 23 * 29 * 31 * 37
+    dens = (19, 23, 29, 31, 37)
+    yield [tuple(F(rng.randint(-40, 40), rng.choice(dens)) for _ in range(3)) for _ in range(10)]
+    # cones from the least point just inside the int64 bound of 3 x 3 stacks
+    yield [(0, 0, 0), (INT64_B3, 0, 0), (0, INT64_B3, 0), (0, 0, INT64_B3), (INT64_B3, INT64_B3, 1),
+           (300, 200, 100)]
+    # and one step past it
+    yield [(0, 0, 0), (INT64_B3 + 1, 0, 0), (0, INT64_B3, 0), (0, 0, INT64_B3), (INT64_B3, INT64_B3, 1),
+           (300, 200, 100)]
+
+
+@pytest.mark.parametrize("points", list(_hull_cases()), ids=["pm5000", "large-lcm", "below-bound", "past-bound"])
+def test_hull_beyond_int64_matches_fraction_oracle(points):
+    hull = exact_hull(points)
+    assert hull.dim == 3
+    assert repr(hull) == repr(reference_hull(points))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -151,3 +152,13 @@ def test_contains_matches_fraction_oracle_on_table_rows():
         for rho, expected in queries:
             oracle = reference_lp_feasible(columns, rho) is not None
             assert region.contains(rho) == oracle == expected, (label, rho)
+
+
+def test_table_hulls_match_pinned_digest():
+    # sha256 over the HullResult reprs of the 28 ex6/ex7 table regions,
+    # coded and uncoded, in table order: a change to any vertex, facet,
+    # equality or volume of the benchmark's rows moves it
+    h = hashlib.sha256()
+    for _label, region in table_regions():
+        h.update(repr(region.hull).encode())
+    assert h.hexdigest() == "c3e36c75504323a2da57b5944113e9da6af0d3dd784daff65dd87d2186e90611"
